@@ -18,9 +18,8 @@ row-major with y increasing downward, value v mapped linearly to the
 gray level round(255 v).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 I/O error.  DSMSCAT_THREADS overrides the BLAS thread count; --seed
-overrides the config seed.  All writes go through a temp file and
-rename, so outputs are never half-written.
+3 I/O error.  --seed overrides the config seed.  All writes go through
+a temp file and rename, so outputs are never half-written.
 """
 
 from __future__ import annotations
@@ -56,16 +55,6 @@ _KNOWN_KEYS = {
 _HEADER_RE = re.compile(r"^# kind=(near|far) k=(\S+) incident_deg=(\S+)$")
 _LEMMA_TOL = 1e-8
 _ORACLE_TOL = 0.02
-
-
-def _apply_thread_override():
-    n = os.environ.get("DSMSCAT_THREADS")
-    if n is None:
-        return
-    if not n.isdigit() or int(n) < 1:
-        raise ConfigError(f"DSMSCAT_THREADS must be a positive integer, got {n!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = n
 
 
 def atomic_write(path: str, payload) -> None:
@@ -230,8 +219,13 @@ def read_samples(path: str):
         if not match:
             raise ConfigError(f"{path}: missing or malformed sample header")
         kind, k_raw, deg_raw = match.groups()
-        k, deg = float(k_raw), float(deg_raw)
-        body = np.loadtxt(handle, delimiter=",", ndmin=2)
+        try:
+            k, deg = float(k_raw), float(deg_raw)
+            body = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if not (np.isfinite(k) and k > 0):
+        raise ConfigError(f"{path}: wavenumber k must be finite and positive")
     expected_cols = 3 if kind == "far" else 4
     if body.size == 0 or body.shape[1] != expected_cols:
         raise ConfigError(f"{path}: expected {expected_cols} columns of sample rows")
@@ -243,7 +237,11 @@ def read_samples(path: str):
     else:
         locations = body[:, :2]
         values = body[:, 2] + 1j * body[:, 3]
-    return k, FieldSamples(kind=kind, locations=locations, values=values, incident=incident)
+    try:
+        samples = FieldSamples(kind=kind, locations=locations, values=values, incident=incident)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return k, samples
 
 
 def write_indicator_csv(path: str, result) -> None:
@@ -487,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_override()
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _h0_array, _j0_array, spherical_j0
+from .special import _bessel01, spherical_j0
 
 _DIRECTION_TOL = 1e-12
 
@@ -60,7 +60,7 @@ def _check_direction(xhat, dim):
     if xhat.shape[-1] != dim:
         raise ValueError(f"direction has {xhat.shape[-1]} components, expected {dim}")
     norms = np.sqrt(np.sum(xhat**2, axis=-1))
-    if np.any(np.abs(norms - 1.0) > _DIRECTION_TOL):
+    if not np.all(np.abs(norms - 1.0) <= _DIRECTION_TOL):  # also rejects nan
         raise ValueError("directions must be unit vectors")
     return xhat
 
@@ -76,7 +76,7 @@ def green(ctx: WaveContext, x, y):
         raise ValueError("green is singular at coincident points")
     kr = ctx.k * np.atleast_1d(r)
     if ctx.dim == 2:
-        val = 0.25j * _h0_array(kr)
+        val = 0.25j * _bessel01(0, kr)
     else:
         val = np.exp(1j * kr) / (4.0 * np.pi * kr)
     return complex(val[0]) if np.ndim(r) == 0 else val.reshape(np.shape(r))
@@ -102,7 +102,7 @@ def scaled_im_green(ctx: WaveContext, xp, xj):
     """
     r = _pairwise_distance(xp, xj)
     kr = ctx.k * np.atleast_1d(r)
-    out = _j0_array(kr) if ctx.dim == 2 else spherical_j0(kr)
+    out = _bessel01(0, kr, with_y=False) if ctx.dim == 2 else spherical_j0(kr)
     return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
 
 

@@ -48,6 +48,8 @@ class FieldSamples:
             raise ValueError("locations and values must have equal length")
         if len(values) == 0:
             raise ValueError("samples must be nonempty")
+        if not (np.all(np.isfinite(locations)) and np.all(np.isfinite(values))):
+            raise ValueError("sample locations and values must be finite")
         radii = np.sqrt(np.sum(locations**2, axis=1))
         if self.kind == "far":
             if np.max(np.abs(radii - 1.0)) > 1e-12:

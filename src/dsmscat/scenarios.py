@@ -37,7 +37,6 @@ class Scenario:
     name: str
     shapes: tuple
     incidents: np.ndarray  # (m, 2)
-    noise_levels: tuple = (0.0, 0.2)
     truth_centers: tuple = ()
 
     def __post_init__(self):

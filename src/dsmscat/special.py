@@ -5,15 +5,18 @@ accuracy of every kernel evaluation is testable inside this repo.
 Complex field values are plain Python/numpy ``complex`` numbers; modulus
 and argument come from ``abs`` and ``numpy.angle``.
 
-Evaluation strategy (orders 0 and 1, the hot path for kernel sweeps):
+Orders 0 and 1, the hot path for kernel sweeps, share one evaluator,
+``_bessel01``, which returns J + iY (or J alone) band by band:
 
-* ascending power series for x <= 8,
+* one ascending power-series loop gives J and Y together from the same
+  terms; it serves J for x <= 8 and Y for x <= 12,
 * Miller's backward recurrence, normalized by J0 + 2*sum J_{2m} = 1,
-  for 8 < x <= 14 where the series cancels too much and the asymptotic
-  expansion is not yet accurate,
-* Hankel's large-argument expansion for x > 14 (J) and x > 12 (Y).
+  gives J for 8 < x <= 14, where the series cancels too much and the
+  asymptotic expansion is not yet accurate,
+* Hankel's large-argument expansion gives J for x > 14 and Y for x > 12.
 
-All branch functions are vectorized; scalars in give scalars out.
+Higher orders use their own series and recurrences.  All public
+functions are vectorized; scalars in give scalars out.
 """
 
 from __future__ import annotations
@@ -24,87 +27,98 @@ import numpy as np
 
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
-# Hankel asymptotic coefficients a_m(nu) = prod_{j<=m} (4 nu^2 - (2j-1)^2) / (m! 8^m),
-# computed exactly in integer arithmetic and rounded once.
-def _hankel_coeffs(nu: int, count: int) -> np.ndarray:
-    mu = 4 * nu * nu
-    num = 1
-    den = 1
-    out = [1.0]
-    for m in range(1, count):
-        num *= mu - (2 * m - 1) ** 2
+
+def _pq_coeffs(nu: int):
+    """Signed coefficients of P (even m) and Q (odd m), highest power first.
+
+    The Hankel coefficients a_m(nu) = prod_{j<=m} (4 nu^2 - (2j-1)^2) / (m! 8^m)
+    are computed exactly in integer arithmetic and rounded once.
+    """
+    num, den, signed = 1, 1, [1.0]
+    for m in range(1, 25):
+        num *= 4 * nu * nu - (2 * m - 1) ** 2
         den *= m * 8
-        out.append(num / den)
-    return np.array(out)
+        signed.append((-1) ** (m // 2) * num / den)
+    return signed[0::2][::-1], signed[1::2][::-1]
 
 
-_A0 = _hankel_coeffs(0, 25)
-_A1 = _hankel_coeffs(1, 25)
+_PQ = (_pq_coeffs(0), _pq_coeffs(1))
 
 
-def _asymptotic_pq(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _horner(coeffs, t: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(t)
+    for c in coeffs:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _asymptotic_pq(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P and Q sums of the Hankel expansion H_nu ~ sqrt(2/(pi x)) e^{i chi} (P + iQ)."""
     inv = 1.0 / x
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for m in range(len(a) - 1, -1, -1):
-        c = a[m] * (-1.0) ** (m // 2)
-        if m % 2 == 0:
-            p = p * (inv * inv) + c
-        else:
-            q = q * (inv * inv) + c
-    return p, q * inv
+    inv2 = inv * inv
+    p_coeffs, q_coeffs = _PQ[nu]
+    return _horner(p_coeffs, inv2), _horner(q_coeffs, inv2) * inv
 
 
-def _series_j0(x):
-    x2 = 0.25 * x * x
+def _asymptotic01(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_nu and Y_nu (nu = 0, 1) from Hankel's expansion; accurate for x > 12."""
+    p, q = _asymptotic_pq(nu, x)
+    chi = x - (0.25 + 0.5 * nu) * np.pi
+    c, s = np.cos(chi), np.sin(chi)
+    amp = np.sqrt(2.0 / (np.pi * x))
+    return amp * (p * c - q * s), amp * (p * s + q * c)
+
+
+# The series below runs m = 0.._SERIES_TERMS-1; at x = 12, the top of its
+# band, the first omitted term is below 1e-19.
+_SERIES_TERMS = 31
+
+
+def _series_tables(nu: int):
+    """Divisors m (m + nu) of the term recurrence and weights H_m + H_{m+nu}."""
+    harmonic = [0.0]
+    for j in range(1, _SERIES_TERMS + 1):
+        harmonic.append(harmonic[-1] + 1.0 / j)
+    divisors = [float(m * (m + nu)) for m in range(_SERIES_TERMS)]
+    weights = [harmonic[m] + harmonic[m + nu] for m in range(_SERIES_TERMS)]
+    return divisors, weights
+
+
+_SERIES = (_series_tables(0), _series_tables(1))
+
+
+def _series01(nu: int, x: np.ndarray, with_y: bool):
+    """J_nu and Y_nu (nu = 0, 1) from one ascending series loop.
+
+    With t_m = (-x^2/4)^m / (m! (m+nu)!) and H_m the harmonic number
+    (DLMF 10.2.2 and 10.8.1):
+
+        J_nu = (x/2)^nu sum t_m
+        Y_nu = (2/pi)(ln(x/2) + gamma) J_nu - (x/2)^nu / pi sum (H_m + H_{m+nu}) t_m
+               - nu 2/(pi x)
+
+    Y is None when with_y is false, which admits x = 0.
+    """
+    divisors, weights = _SERIES[nu]
+    nx2 = -0.25 * x * x
     term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for m in range(1, 30):
-        term = term * (-x2) / (m * m)
-        acc = acc + term
-    return acc
-
-
-def _series_j1(x):
-    x2 = 0.25 * x * x
-    term = np.full_like(x, 0.5) * x
-    acc = term.copy()
-    for m in range(1, 30):
-        term = term * (-x2) / (m * (m + 1))
-        acc = acc + term
-    return acc
-
-
-def _harmonic(n: int) -> float:
-    return sum(1.0 / j for j in range(1, n + 1))
-
-
-def _series_y0(x):
-    # Y0 = (2/pi)[(ln(x/2) + gamma) J0 + sum_{m>=1} (-1)^{m+1} H_m (x^2/4)^m / (m!)^2]
-    x2 = 0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.zeros_like(x)
-    for m in range(1, 35):
-        term = term * (-x2) / (m * m)
-        acc = acc - term * _harmonic(m)
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + _EULER_GAMMA) * _series_j0(x) + acc)
-
-
-def _series_y1(x):
-    # Y1 = -2/(pi x) + (2/pi)(ln(x/2) + gamma) J1
-    #      - (x/(2 pi)) sum_{m>=0} (H_m + H_{m+1}) (-x^2/4)^m / (m! (m+1)!)
-    x2 = 0.25 * x * x
-    term = np.ones_like(x)
-    acc = np.full_like(x, _harmonic(1))
-    for m in range(1, 35):
-        term = term * (-x2) / (m * (m + 1))
-        acc = acc + term * (_harmonic(m) + _harmonic(m + 1))
-    return (
-        -2.0 / (np.pi * x)
-        + (2.0 / np.pi) * (np.log(0.5 * x) + _EULER_GAMMA) * _series_j1(x)
-        - x / (2.0 * np.pi) * acc
-    )
+    sum_j = np.ones_like(x)
+    sum_y = np.full_like(x, weights[0]) if with_y else None
+    for m in range(1, _SERIES_TERMS):
+        term *= nx2
+        term /= divisors[m]
+        sum_j += term
+        if with_y:
+            sum_y += weights[m] * term
+    lead = 0.5 * x if nu else 1.0
+    j = lead * sum_j
+    if not with_y:
+        return j, None
+    y = (2.0 / np.pi) * (np.log(0.5 * x) + _EULER_GAMMA) * j - (lead / np.pi) * sum_y
+    if nu:
+        y -= 2.0 / (np.pi * x)
+    return j, y
 
 
 def _miller_j01(x):
@@ -117,7 +131,6 @@ def _miller_j01(x):
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-30)
     norm = np.zeros_like(x)
-    j0 = np.zeros_like(x)
     j1 = np.zeros_like(x)
     for m in range(start, 0, -1):
         fm = (2.0 * m / x) * f - fp
@@ -175,139 +188,40 @@ def _series_jn(n: int, x):
     return lead * acc
 
 
-def _piecewise(x, bands):
-    """Apply (mask, func) pairs to disjoint bands of x."""
-    out = np.empty_like(x)
-    for mask, func in bands:
-        if np.any(mask):
-            out[mask] = func(x[mask])
-    return out
+# Points per pass of _bessel01: small enough that the temporaries of every
+# band stay in cache, so a sweep over millions of points needs no more
+# memory than its result.
+_BLOCK = 16384
 
 
-def _j0_array(x):
-    ax = np.abs(x)  # J0 is even
-    small = ax <= 8.0
-    mid = (ax > 8.0) & (ax <= 14.0)
-    large = ax > 14.0
+def _bessel01(nu: int, x: np.ndarray, with_y: bool = True) -> np.ndarray:
+    """J_nu(x) + i Y_nu(x) for nu = 0, 1 and x > 0, band by band.
 
-    def _asym(v):
-        p, q = _asymptotic_pq(_A0, v)
-        chi = v - 0.25 * np.pi
-        return np.sqrt(2.0 / (np.pi * v)) * (p * np.cos(chi) - q * np.sin(chi))
-
-    return _piecewise(
-        ax,
-        [
-            (small, _series_j0),
-            (mid, lambda v: _miller_j01(v)[0]),
-            (large, _asym),
-        ],
-    )
-
-
-def _j1_array(x):
-    ax = np.abs(x)
-    sign = np.where(x < 0, -1.0, 1.0)  # J1 is odd
-    small = ax <= 8.0
-    mid = (ax > 8.0) & (ax <= 14.0)
-    large = ax > 14.0
-
-    def _asym(v):
-        p, q = _asymptotic_pq(_A1, v)
-        chi = v - 0.75 * np.pi
-        return np.sqrt(2.0 / (np.pi * v)) * (p * np.cos(chi) - q * np.sin(chi))
-
-    return sign * _piecewise(
-        ax,
-        [
-            (small, _series_j1),
-            (mid, lambda v: _miller_j01(v)[1]),
-            (large, _asym),
-        ],
-    )
-
-
-def _y0_array(x):
-    small = x <= 12.0
-    large = x > 12.0
-
-    def _asym(v):
-        p, q = _asymptotic_pq(_A0, v)
-        chi = v - 0.25 * np.pi
-        return np.sqrt(2.0 / (np.pi * v)) * (p * np.sin(chi) + q * np.cos(chi))
-
-    return _piecewise(x, [(small, _series_y0), (large, _asym)])
-
-
-def _y1_array(x):
-    small = x <= 12.0
-    large = x > 12.0
-
-    def _asym(v):
-        p, q = _asymptotic_pq(_A1, v)
-        chi = v - 0.75 * np.pi
-        return np.sqrt(2.0 / (np.pi * v)) * (p * np.sin(chi) + q * np.cos(chi))
-
-    return _piecewise(x, [(small, _series_y1), (large, _asym)])
-
-
-def _h0_array(x):
-    """J0(x) + i Y0(x) for x > 0 with the P/Q work shared between parts."""
-    out = np.empty(x.shape, dtype=complex)
-    m_j = x <= 8.0
-    if np.any(m_j):
-        out.real[m_j] = _series_j0(x[m_j])
-    m_j = (x > 8.0) & (x <= 14.0)
-    if np.any(m_j):
-        out.real[m_j] = _miller_j01(x[m_j])[0]
-    m_y = x <= 12.0
-    if np.any(m_y):
-        out.imag[m_y] = _series_y0(x[m_y])
-    m_y = (x > 12.0) & (x <= 14.0)
-    if np.any(m_y):
-        v = x[m_y]
-        p, q = _asymptotic_pq(_A0, v)
-        chi = v - 0.25 * np.pi
-        out.imag[m_y] = np.sqrt(2.0 / (np.pi * v)) * (p * np.sin(chi) + q * np.cos(chi))
-    m = x > 14.0
-    if np.any(m):
-        v = x[m]
-        p, q = _asymptotic_pq(_A0, v)
-        chi = v - 0.25 * np.pi
-        c, s = np.cos(chi), np.sin(chi)
-        amp = np.sqrt(2.0 / (np.pi * v))
-        out.real[m] = amp * (p * c - q * s)
-        out.imag[m] = amp * (p * s + q * c)
-    return out
-
-
-def _h1_array(x):
-    """J1(x) + i Y1(x) for x > 0, sharing work as in _h0_array."""
-    out = np.empty(x.shape, dtype=complex)
-    m_j = x <= 8.0
-    if np.any(m_j):
-        out.real[m_j] = _series_j1(x[m_j])
-    m_j = (x > 8.0) & (x <= 14.0)
-    if np.any(m_j):
-        out.real[m_j] = _miller_j01(x[m_j])[1]
-    m_y = x <= 12.0
-    if np.any(m_y):
-        out.imag[m_y] = _series_y1(x[m_y])
-    m_y = (x > 12.0) & (x <= 14.0)
-    if np.any(m_y):
-        v = x[m_y]
-        p, q = _asymptotic_pq(_A1, v)
-        chi = v - 0.75 * np.pi
-        out.imag[m_y] = np.sqrt(2.0 / (np.pi * v)) * (p * np.sin(chi) + q * np.cos(chi))
-    m = x > 14.0
-    if np.any(m):
-        v = x[m]
-        p, q = _asymptotic_pq(_A1, v)
-        chi = v - 0.75 * np.pi
-        c, s = np.cos(chi), np.sin(chi)
-        amp = np.sqrt(2.0 / (np.pi * v))
-        out.real[m] = amp * (p * c - q * s)
-        out.imag[m] = amp * (p * s + q * c)
+    With with_y false the result is the real array J_nu(x) alone, and
+    x = 0 is admitted; callers pass |x| and apply the parity themselves.
+    """
+    out = np.empty(x.shape, dtype=complex if with_y else float)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _BLOCK):
+        v = flat_x[start:start + _BLOCK]
+        o = flat_out[start:start + _BLOCK]
+        o_j = o.real if with_y else o
+        band = v <= (12.0 if with_y else 8.0)
+        if np.any(band):
+            j, y = _series01(nu, v[band], with_y)
+            o_j[band] = j
+            if with_y:
+                o.imag[band] = y
+        band = v > (12.0 if with_y else 14.0)
+        if np.any(band):
+            j, y = _asymptotic01(nu, v[band])
+            o_j[band] = j
+            if with_y:
+                o.imag[band] = y
+        # J on 8 < x <= 14 replaces whatever the bands above wrote there
+        band = (v > 8.0) & (v <= 14.0)
+        if np.any(band):
+            o_j[band] = _miller_j01(v[band])[nu]
     return out
 
 
@@ -338,13 +252,10 @@ def bessel_j(order: int, x):
     arr = _as_array(x)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if order == 0:
-        out = _j0_array(arr)
-    elif order == 1:
-        out = _j1_array(arr)
+    ax = np.abs(arr)
+    if order <= 1:
+        out = _bessel01(order, ax, with_y=False)
     else:
-        ax = np.abs(arr)
-        sign = np.where((arr < 0) & (order % 2 == 1), -1.0, 1.0)
         out = np.empty_like(ax)
         zero = ax == 0.0
         ser = (~zero) & (ax <= 2.0 * np.sqrt(order + 1.0))
@@ -354,62 +265,46 @@ def bessel_j(order: int, x):
             out[ser] = _series_jn(order, ax[ser])
         if np.any(mil):
             out[mil] = _miller_jn(order, ax[mil])
-        out = sign * out
+    if order % 2 == 1:
+        out[arr < 0] *= -1.0  # odd orders are odd functions
     return float(out[0]) if scalar else out
+
+
+def _positive_array(x, name):
+    arr = np.atleast_1d(_as_array(x))
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} requires x > 0")
+    return arr
 
 
 def bessel_y(order: int, x):
     """Bessel function of the second kind Y_order(x), x > 0.
 
-    Absolute error stays below 1e-10 on 1e-6 <= x <= 100.  Raises
-    ValueError at x <= 0 (logarithmic branch point).
+    Absolute error stays below 1e-10 * max(1, |Y|) on 1e-6 <= x <= 100.
+    Raises ValueError at x <= 0 (logarithmic branch point).
     """
     if order < 0 or order != int(order):
         raise ValueError("order must be a nonnegative integer")
     order = int(order)
-    arr = _as_array(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_y requires x > 0")
-    y0 = _y0_array(arr)
-    if order == 0:
-        out = y0
+    scalar = np.ndim(x) == 0
+    arr = _positive_array(x, "bessel_y")
+    if order <= 1:
+        out = _bessel01(order, arr).imag
     else:
-        y1 = _y1_array(arr)
-        if order == 1:
-            out = y1
-        else:
-            # upward recurrence is stable for Y
-            prev, cur = y0, y1
-            for m in range(1, order):
-                prev, cur = cur, (2.0 * m / arr) * cur - prev
-            out = cur
+        # upward recurrence is stable for Y
+        prev, cur = _bessel01(0, arr).imag, _bessel01(1, arr).imag
+        for m in range(1, order):
+            prev, cur = cur, (2.0 * m / arr) * cur - prev
+        out = cur
     return float(out[0]) if scalar else out
-
-
-def hankel1_0(x):
-    """Hankel function of the first kind, order zero: J0(x) + i Y0(x), x > 0."""
-    arr = _as_array(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise ValueError("hankel1_0 requires x > 0")
-    out = _h0_array(arr)
-    return complex(out[0]) if scalar else out
 
 
 def hankel1(order: int, x):
     """Hankel function of the first kind: J_order(x) + i Y_order(x), x > 0."""
-    if order == 0:
-        return hankel1_0(x)
-    arr = _as_array(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise ValueError("hankel1 requires x > 0")
-    if order == 1:
-        out = _h1_array(arr)
+    scalar = np.ndim(x) == 0
+    arr = _positive_array(x, "hankel1")
+    if order in (0, 1):
+        out = _bessel01(int(order), arr)
     else:
         out = bessel_j(order, arr) + 1j * bessel_y(order, arr)
     return complex(out[0]) if scalar else out

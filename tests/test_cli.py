@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -185,6 +183,28 @@ def test_image_rejects_mismatched_metadata(tmp_path):
     assert main(["image", "--data", far, far, "--outdir", str(tmp_path)]) == 2
 
 
+def test_image_rejects_bad_sample_files(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
+    data_dir = tmp_path / "data"
+    main(["synthesize", "--config", cfg, "--outdir", str(data_dir)])
+    cases = (
+        ("far", 2, "90,nan,0"),
+        ("near", 2, "nan,4,0.1,0.2"),
+        ("far", 2, "90,abc,0"),
+        ("far", 0, "# kind=far k=nan incident_deg=45.0"),
+        ("far", 0, "# kind=far k=6.2831853 incident_deg=nan"),
+    )
+    for kind, row, text in cases:
+        path = data_dir / f"ex1_{kind}_inc0_eps0.csv"
+        bad = tmp_path / "bad.csv"
+        lines = path.read_text().splitlines()
+        lines[row] = text
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["image", "--data", str(bad), "--outdir", str(tmp_path / "img")]) == 2, text
+        assert str(bad) in capsys.readouterr().err, text
+
+
 def test_verify_default_passes(tmp_path):
     rc = main(["verify", "--pairs", "40", "--outdir", str(tmp_path)])
     assert rc == 0
@@ -235,14 +255,3 @@ def test_reproduce_rejects_unknown_variant(tmp_path):
     rc = main(["reproduce", "--example", "ex1", "--variant", "bogus",
                "--outdir", str(tmp_path)])
     assert rc == 2
-
-
-def test_thread_override_validation(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, ""))  # restore after test
-    monkeypatch.setenv("DSMSCAT_THREADS", "zebra")
-    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
-    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 2
-    monkeypatch.setenv("DSMSCAT_THREADS", "1")
-    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "d")]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"

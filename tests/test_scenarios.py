@@ -14,7 +14,6 @@ def test_all_presets_are_well_formed():
         assert len(sc.shapes) >= 1
         norms = np.hypot(sc.incidents[:, 0], sc.incidents[:, 1])
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert sc.noise_levels == (0.0, 0.2)
         for shape in sc.shapes:
             lo, hi = shape.bounding_box()
             assert np.all(lo >= -2.0) and np.all(hi <= 2.0)  # inside the sampling domain

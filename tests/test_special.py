@@ -14,7 +14,6 @@ from dsmscat.special import (
     bessel_j,
     bessel_y,
     hankel1,
-    hankel1_0,
     spherical_j0,
 )
 
@@ -263,15 +262,29 @@ def test_plane_wave_expansion():
 
 
 def test_hankel_composition():
-    h = hankel1_0(1.0)
+    h = hankel1(0, 1.0)
     assert h.real == bessel_j(0, 1.0)
     assert h.imag == bessel_y(0, 1.0)
     # far-field modulus of H0 at large argument
-    assert abs(abs(hankel1_0(50.0)) - math.sqrt(2.0 / (math.pi * 50.0))) < 0.02 * abs(hankel1_0(50.0))
+    assert abs(abs(hankel1(0, 50.0)) - math.sqrt(2.0 / (math.pi * 50.0))) < 0.02 * abs(hankel1(0, 50.0))
     # Im(i H0 / 4) = J0/4
-    assert abs((0.25j * hankel1_0(0.7)).imag - bessel_j(0, 0.7) / 4.0) < 1e-14
+    assert abs((0.25j * hankel1(0, 0.7)).imag - bessel_j(0, 0.7) / 4.0) < 1e-14
     h1 = hankel1(1, 2.5)
     assert h1 == bessel_j(1, 2.5) + 1j * bessel_y(1, 2.5)
+
+
+def test_orders_0_1_against_scipy():
+    # scipy is a test-only oracle; the tolerances were fixed before the
+    # evaluator was rewritten (J absolute, Y and H relative above 1)
+    special = pytest.importorskip("scipy.special")
+    bands = [b + d for b in (8.0, 12.0, 14.0) for d in (-1e-9, 0.0, 1e-9)]
+    x = np.concatenate([np.logspace(-6, 2, 20000), bands])
+    for n in (0, 1):
+        assert np.max(np.abs(bessel_j(n, x) - special.jv(n, x))) <= 1e-12, f"J{n}"
+        y_ref = special.yv(n, x)
+        assert np.all(np.abs(bessel_y(n, x) - y_ref) <= 1e-10 * np.maximum(1.0, np.abs(y_ref))), f"Y{n}"
+        h_ref = special.hankel1(n, x)
+        assert np.all(np.abs(hankel1(n, x) - h_ref) <= 1e-10 * np.maximum(1.0, np.abs(h_ref))), f"H{n}"
 
 
 def test_spherical_j0():
@@ -289,7 +302,7 @@ def test_array_and_scalar_forms():
     for i, x in enumerate(xs):
         assert vec[i] == bessel_j(0, float(x))
     assert isinstance(bessel_j(0, 1.0), float)
-    assert isinstance(hankel1_0(1.0), complex)
+    assert isinstance(hankel1(0, 1.0), complex)
 
 
 def test_negative_argument_symmetry():
@@ -309,7 +322,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         bessel_y(0, 0.0)
     with pytest.raises(ValueError):
-        hankel1_0(-2.0)
+        hankel1(0, -2.0)
 
 
 def test_complex_arithmetic_invariants():
