@@ -41,9 +41,8 @@ from .indicators import (
     IndicatorGrid,
     SamplingGrid,
     combine_max,
-    indicator_far,
     indicator_grid,
-    indicator_near,
+    indicator_values,
     superlevel_components,
 )
 from .kernels import (
@@ -97,9 +96,8 @@ __all__ = [
     "farfield_correlation",
     "green",
     "green_farfield",
-    "indicator_far",
     "indicator_grid",
-    "indicator_near",
+    "indicator_values",
     "lemma_constant",
     "lemma_sweep",
     "near_circle_geometry",

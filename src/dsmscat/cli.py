@@ -11,8 +11,8 @@ repeated ``shape`` lines for explicit scatterers:
     shape = ring CX CY OUTER INNER eta|nsq VALUE
     shape = bar CX CY LENGTH THICKNESS ANGLE_DEG eta|nsq VALUE
 
-Sample files are CSV with header ``# kind=far k=6.2831853
-incident_deg=45.0`` and rows ``theta_deg,re,im`` (far) or ``x,y,re,im``
+Sample files are CSV with header ``# kind=far k=6.283185307179586
+incident_deg=45.0`` (k and the angle written losslessly) and rows ``theta_deg,re,im`` (far) or ``x,y,re,im``
 (near), 17 significant digits.  Heatmaps are binary P6 pixmaps,
 row-major with y increasing downward, value v mapped linearly to the
 gray level round(255 v).
@@ -35,6 +35,7 @@ import numpy as np
 from .diagnostics import lemma_sweep
 from .errors import ConfigError
 from .forward import (
+    SHAPE_FIELDS,
     ShapeSpec,
     discretize,
     disk_series_farfield,
@@ -55,6 +56,15 @@ _KNOWN_KEYS = {
 _HEADER_RE = re.compile(r"^# kind=(near|far) k=(\S+) incident_deg=(\S+)$")
 _LEMMA_TOL = 1e-8
 _ORACLE_TOL = 0.02
+
+# the measurement protocol both synthesize and reproduce default to: wave
+# number 2 pi (wavelength 1), near receivers on a circle of radius 4
+# wavelengths, far observation directions, forward cells of pitch lambda/50
+_K = 2.0 * np.pi
+_NEAR_RADIUS_WAVELENGTHS = 4.0
+_NEAR_COUNT = 50
+_FAR_COUNT = 50
+_CELLS_PER_WAVELENGTH = 50
 
 
 def atomic_write(path: str, payload) -> None:
@@ -90,106 +100,72 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _single(cfg: dict, key: str, default=None):
+def _value(cfg: dict, key: str, parse=str, default=None):
+    """The value of a key given at most once, read by parse; default if absent."""
     values = cfg.get(key)
     if values is None:
         return default
     if len(values) > 1:
         raise ConfigError(f"key {key!r} given more than once")
-    return values[0]
-
-
-def _as_float(cfg, key, default):
-    raw = _single(cfg, key)
-    if raw is None:
-        return default
     try:
-        return float(raw)
+        return parse(values[0])
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+        raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
-def _as_int(cfg, key, default):
-    raw = _single(cfg, key)
-    if raw is None:
-        return default
+def _float_list(raw: str) -> list:
+    return [float(tok) for tok in raw.split(",")]
+
+
+def _parse_shape(line: str) -> ShapeSpec:
+    """``KIND CX CY GEOMETRY... eta|nsq VALUE``, GEOMETRY in SHAPE_FIELDS order;
+    a bar's angle is given in degrees."""
     try:
-        return int(raw)
+        kind, cx, cy, *geometry, material, value = line.split()
+        fields = SHAPE_FIELDS.get(kind)
+        if fields is None:
+            raise ValueError(f"unknown shape kind {kind!r}")
+        if len(geometry) != len(fields) or material not in ("eta", "nsq"):
+            raise ValueError(f"expected {kind} CX CY {' '.join(fields).upper()} eta|nsq VALUE")
+        geom = dict(zip(fields, map(float, geometry)))
+        if "angle" in geom:
+            geom["angle"] = np.deg2rad(geom["angle"])
+        return ShapeSpec(kind=kind, center=(float(cx), float(cy)), **geom,
+                         **{material: complex(value)})
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
+        raise ConfigError(f"bad shape line: {line!r} ({exc})") from exc
 
 
-def _as_float_list(cfg, key, default):
-    raw = _single(cfg, key)
-    if raw is None:
-        return list(default)
+def _scenario(name: str, variant):
     try:
-        return [float(tok) for tok in raw.split(",")]
+        return build(name, variant=variant)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a comma list of numbers: {raw!r}") from exc
-
-
-def _parse_shape(tokens_raw: str) -> ShapeSpec:
-    tokens = tokens_raw.split()
-    try:
-        kind = tokens[0]
-        if kind == "square":
-            geom, rest = {"side": float(tokens[3])}, tokens[4:]
-            center = (float(tokens[1]), float(tokens[2]))
-        elif kind == "disk":
-            geom, rest = {"radius": float(tokens[3])}, tokens[4:]
-            center = (float(tokens[1]), float(tokens[2]))
-        elif kind == "ring":
-            geom, rest = {"outer_side": float(tokens[3]), "inner_side": float(tokens[4])}, tokens[5:]
-            center = (float(tokens[1]), float(tokens[2]))
-        elif kind == "bar":
-            geom = {"length": float(tokens[3]), "thickness": float(tokens[4]),
-                    "angle": np.deg2rad(float(tokens[5]))}
-            rest = tokens[6:]
-            center = (float(tokens[1]), float(tokens[2]))
-        else:
-            raise ConfigError(f"unknown shape kind {kind!r}")
-        if len(rest) != 2 or rest[0] not in ("eta", "nsq"):
-            raise ConfigError(f"shape must end with 'eta VALUE' or 'nsq VALUE': {tokens_raw!r}")
-        material = {rest[0]: complex(rest[1])}
-        return ShapeSpec(kind=kind, center=center, **geom, **material)
-    except ConfigError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"bad shape line: {tokens_raw!r} ({exc})") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_scatterer(cfg: dict):
     """(label, shapes, preset incidents or None) from scenario or shape lines."""
-    scenario_name = _single(cfg, "scenario")
+    scenario_name = _value(cfg, "scenario")
+    variant = _value(cfg, "variant")
     shape_lines = cfg.get("shape", [])
     if scenario_name is not None and shape_lines:
         raise ConfigError("give either a scenario or explicit shapes, not both")
     if scenario_name is not None:
-        try:
-            scenario = build(scenario_name, variant=_single(cfg, "variant"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        scenario = _scenario(scenario_name, variant)
         return scenario.name, scenario.shapes, scenario.incidents
     if not shape_lines:
         raise ConfigError("config needs a scenario id or at least one shape line")
-    if _single(cfg, "variant") is not None:
+    if variant is not None:
         raise ConfigError("variant is only meaningful together with a scenario")
     return "custom", tuple(_parse_shape(line) for line in shape_lines), None
 
 
 def _resolve_incidents(cfg: dict, preset) -> np.ndarray:
-    raw = _single(cfg, "incidents")
-    if raw is None:
+    degs = _value(cfg, "incidents", _float_list)
+    if degs is None:
         if preset is None:
             raise ConfigError("explicit shapes need an 'incidents' angle list")
         return np.atleast_2d(preset)
-    try:
-        degs = [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"incidents: not a comma list of angles: {raw!r}") from exc
-    if not degs:
-        raise ConfigError("incidents list is empty")
     theta = np.deg2rad(degs)
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -200,7 +176,7 @@ def _incident_deg(direction) -> float:
 
 def _sample_rows(samples: FieldSamples, k: float) -> str:
     deg = _incident_deg(samples.incident)
-    lines = [f"# kind={samples.kind} k={k:.8g} incident_deg={deg!r}"]
+    lines = [f"# kind={samples.kind} k={float(k)!r} incident_deg={deg!r}"]
     if samples.kind == "far":
         thetas = np.rad2deg(np.arctan2(samples.locations[:, 1], samples.locations[:, 0])) % 360.0
         for theta, value in zip(thetas, samples.values):
@@ -214,33 +190,26 @@ def _sample_rows(samples: FieldSamples, k: float) -> str:
 def read_samples(path: str):
     """Parse one sample CSV back into (k, FieldSamples)."""
     with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        match = _HEADER_RE.match(header)
+        match = _HEADER_RE.match(handle.readline().rstrip("\n"))
         if not match:
             raise ConfigError(f"{path}: missing or malformed sample header")
         kind, k_raw, deg_raw = match.groups()
         try:
-            k, deg = float(k_raw), float(deg_raw)
+            k = WaveContext(k=float(k_raw)).k
+            incident = np.deg2rad(float(deg_raw))
             body = np.loadtxt(handle, delimiter=",", ndmin=2)
+            expected_cols = 3 if kind == "far" else 4
+            if body.size == 0 or body.shape[1] != expected_cols:
+                raise ValueError(f"expected {expected_cols} columns of sample rows")
+            if kind == "far":
+                theta = np.deg2rad(body[:, 0])
+                locations = np.column_stack([np.cos(theta), np.sin(theta)])
+            else:
+                locations = body[:, :2]
+            samples = FieldSamples(kind=kind, locations=locations, values=body[:, -2] + 1j * body[:, -1],
+                                   incident=np.array([np.cos(incident), np.sin(incident)]))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    if not (np.isfinite(k) and k > 0):
-        raise ConfigError(f"{path}: wavenumber k must be finite and positive")
-    expected_cols = 3 if kind == "far" else 4
-    if body.size == 0 or body.shape[1] != expected_cols:
-        raise ConfigError(f"{path}: expected {expected_cols} columns of sample rows")
-    incident = np.array([np.cos(np.deg2rad(deg)), np.sin(np.deg2rad(deg))])
-    if kind == "far":
-        theta = np.deg2rad(body[:, 0])
-        locations = np.column_stack([np.cos(theta), np.sin(theta)])
-        values = body[:, 1] + 1j * body[:, 2]
-    else:
-        locations = body[:, :2]
-        values = body[:, 2] + 1j * body[:, 3]
-    try:
-        samples = FieldSamples(kind=kind, locations=locations, values=values, incident=incident)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return k, samples
 
 
@@ -248,13 +217,11 @@ def write_indicator_csv(path: str, result) -> None:
     grid = result.grid
     lines = [f"# kind=indicator h={grid.h:.8g} shape={grid.shape[0]}x{grid.shape[1]}",
              "x,y,value"]
-    xs, ys = grid.xs, grid.ys
-    values = result.values
-    for iy in range(len(ys)):
-        row = values[iy]
-        y = ys[iy]
-        for ix in range(len(xs)):
-            lines.append(f"{xs[ix]:.17g},{y:.17g},{row[ix]:.17g}")
+    # each coordinate is formatted once per file (x) or once per row (y)
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
+    for y, row in zip(grid.ys.tolist(), result.values.tolist()):
+        y_text = f"{y:.17g},"
+        lines.extend([f"{x}{y_text}{v:.17g}" for x, v in zip(xs, row)])
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -267,13 +234,11 @@ def write_heatmap_ppm(path: str, result) -> None:
 
 
 def _grid_from_config(cfg: dict) -> SamplingGrid:
-    lo = _as_float(cfg, "grid.min", -2.0)
-    hi = _as_float(cfg, "grid.max", 2.0)
-    h = _as_float(cfg, "grid.h", 0.01)
-    try:
-        return SamplingGrid(xmin=lo, xmax=hi, ymin=lo, ymax=hi, h=h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    default = SamplingGrid()
+    lo = _value(cfg, "grid.min", float, default.xmin)
+    hi = _value(cfg, "grid.max", float, default.xmax)
+    h = _value(cfg, "grid.h", float, default.h)
+    return SamplingGrid(xmin=lo, xmax=hi, ymin=lo, ymax=hi, h=h)
 
 
 def _load_config(path: str) -> dict:
@@ -284,46 +249,61 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
 
 
-def _synthesize_samples(ctx, shapes, incidents, near_radius, near_count, far_count):
-    """Clean near and far FieldSamples per incident direction."""
-    cells = discretize(ctx, shapes, ctx.wavelength / 50.0)
+def _write_samples(ctx, outdir, label, shapes, incidents, epsilons, seed,
+                   near_radius, near_count, far_count):
+    """Solve the forward problem per incident and write one sample file per
+    (incident, kind, epsilon).
+
+    Returns the paths in write order and {(kind, epsilon): [FieldSamples per
+    incident]}.
+    """
+    cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
     near_pts = near_circle_geometry(ctx, near_radius, near_count)
     far_dirs = far_angles(far_count)
-    out = []
-    for direction in incidents:
+    paths, data = [], {}
+    for index, direction in enumerate(incidents):
         current = solve_lippmann_schwinger(ctx, cells, direction)
-        near = FieldSamples(kind="near", locations=near_pts,
-                            values=scattered_near(ctx, cells, current, near_pts),
-                            incident=direction)
-        far = FieldSamples(kind="far", locations=far_dirs,
-                           values=scattered_far(ctx, cells, current, far_dirs),
-                           incident=direction)
-        out.append((near, far))
-    return out
+        clean = (
+            FieldSamples(kind="near", locations=near_pts,
+                         values=scattered_near(ctx, cells, current, near_pts), incident=direction),
+            FieldSamples(kind="far", locations=far_dirs,
+                         values=scattered_far(ctx, cells, current, far_dirs), incident=direction),
+        )
+        for samples in clean:
+            for eps in epsilons:
+                noisy = samples if eps == 0.0 else add_noise(samples, NoiseSpec(epsilon=eps, seed=seed))
+                path = os.path.join(outdir, f"{label}_{samples.kind}_inc{index}_eps{eps:g}.csv")
+                atomic_write(path, _sample_rows(noisy, ctx.k))
+                paths.append(path)
+                data.setdefault((samples.kind, eps), []).append(noisy)
+    return paths, data
+
+
+def _write_image(ctx, data, grid, outdir):
+    """Image FieldSamples of one kind, combined by nodewise maximum, and write
+    indicator_<kind>.csv and .ppm; returns the combined grid and the paths."""
+    combined = combine_max([indicator_grid(ctx, samples, grid) for samples in data])
+    csv_path, ppm_path = (os.path.join(outdir, f"indicator_{data[0].kind}.{ext}")
+                          for ext in ("csv", "ppm"))
+    write_indicator_csv(csv_path, combined)
+    write_heatmap_ppm(ppm_path, combined)
+    return combined, [csv_path, ppm_path]
 
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args.config)
-    ctx = WaveContext(k=_as_float(cfg, "k", 2.0 * np.pi))
+    ctx = _value(cfg, "k", lambda raw: WaveContext(k=float(raw)), WaveContext(k=_K))
     label, shapes, preset_incidents = _resolve_scatterer(cfg)
     incidents = _resolve_incidents(cfg, preset_incidents)
-    near_radius = _as_float(cfg, "near.radius", 4.0 * ctx.wavelength)
-    near_count = _as_int(cfg, "near.count", 50)
-    far_count = _as_int(cfg, "far.count", 50)
-    epsilons = _as_float_list(cfg, "noise.epsilon", (0.0,))
-    seed = args.seed if args.seed is not None else _as_int(cfg, "noise.seed", 0)
+    near_radius = _value(cfg, "near.radius", float, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
+    near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
+    far_count = _value(cfg, "far.count", int, _FAR_COUNT)
+    epsilons = _value(cfg, "noise.epsilon", _float_list, [0.0])
+    seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
     os.makedirs(args.outdir, exist_ok=True)
-
-    pairs = _synthesize_samples(ctx, shapes, incidents, near_radius, near_count, far_count)
-    for index, (near, far) in enumerate(pairs):
-        for samples in (near, far):
-            for eps in epsilons:
-                spec = NoiseSpec(epsilon=eps, seed=seed)
-                noisy = samples if eps == 0.0 else add_noise(samples, spec)
-                name = f"{label}_{samples.kind}_inc{index}_eps{eps:g}.csv"
-                path = os.path.join(args.outdir, name)
-                atomic_write(path, _sample_rows(noisy, ctx.k))
-                print(path)
+    paths, _ = _write_samples(ctx, args.outdir, label, shapes, incidents, epsilons, seed,
+                              near_radius, near_count, far_count)
+    print("\n".join(paths))
     return 0
 
 
@@ -336,29 +316,22 @@ def cmd_image(args) -> int:
     ks = np.array([k for k, _ in loaded])
     if np.max(ks) - np.min(ks) > 1e-9 * np.max(ks):
         raise ConfigError("data files disagree on the wave number k")
-    config_k = _as_float(cfg, "k", None)
+    config_k = _value(cfg, "k", float)
     if config_k is not None and abs(config_k - ks[0]) > 1e-9 * ks[0]:
         raise ConfigError("config k does not match the data files")
     degs = [round(_incident_deg(s.incident), 6) for _, s in loaded]
     if len(set(degs)) != len(degs):
         raise ConfigError("duplicate incident direction across data files")
 
-    kind = kinds.pop()
-    ctx = WaveContext(k=float(ks[0]))
     grid = _grid_from_config(cfg)
-    combined = combine_max([indicator_grid(ctx, s, grid) for _, s in loaded])
     os.makedirs(args.outdir, exist_ok=True)
-    csv_path = os.path.join(args.outdir, f"indicator_{kind}.csv")
-    ppm_path = os.path.join(args.outdir, f"indicator_{kind}.ppm")
-    write_indicator_csv(csv_path, combined)
-    write_heatmap_ppm(ppm_path, combined)
-    print(csv_path)
-    print(ppm_path)
+    _, paths = _write_image(WaveContext(k=float(ks[0])), [s for _, s in loaded], grid, args.outdir)
+    print("\n".join(paths))
     return 0
 
 
 def _verify_disk_oracle() -> float:
-    ctx = WaveContext(k=2.0 * np.pi)
+    ctx = WaveContext(k=_K)
     d = np.array([1.0, 1.0]) / np.sqrt(2.0)
     disk = ShapeSpec(kind="disk", center=(0.0, 0.0), radius=0.3, nsq=1.5)
     cells = discretize(ctx, [disk], ctx.wavelength / 40.0)
@@ -403,34 +376,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        scenario = build(args.example, variant=args.variant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ctx = WaveContext(k=2.0 * np.pi)
-    os.makedirs(args.outdir, exist_ok=True)
-    pairs = _synthesize_samples(ctx, scenario.shapes, scenario.incidents, 4.0, 50, 50)
-
+    scenario = _scenario(args.example, args.variant)
+    ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
+    os.makedirs(args.outdir, exist_ok=True)
+    _, data = _write_samples(ctx, args.outdir, scenario.name, scenario.shapes, scenario.incidents,
+                             epsilons, args.seed, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength,
+                             _NEAR_COUNT, _FAR_COUNT)
     report = [
         f"scenario={scenario.name} variant={args.variant or 'none'} "
         f"epsilon={args.epsilon:g} seed={args.seed} cutoff={args.cutoff:g}"
     ]
-    grid = SamplingGrid()
     for kind in ("near", "far"):
-        per_incident = []
-        for index, pair in enumerate(pairs):
-            samples = pair[0] if kind == "near" else pair[1]
-            for eps in epsilons:
-                spec = NoiseSpec(epsilon=eps, seed=args.seed)
-                data = samples if eps == 0.0 else add_noise(samples, spec)
-                name = f"{scenario.name}_{kind}_inc{index}_eps{eps:g}.csv"
-                atomic_write(os.path.join(args.outdir, name), _sample_rows(data, ctx.k))
-                if eps == epsilons[-1]:
-                    per_incident.append(data)
-        combined = combine_max([indicator_grid(ctx, data, grid) for data in per_incident])
-        write_indicator_csv(os.path.join(args.outdir, f"indicator_{kind}.csv"), combined)
-        write_heatmap_ppm(os.path.join(args.outdir, f"indicator_{kind}.ppm"), combined)
+        combined, _ = _write_image(ctx, data[kind, epsilons[-1]], SamplingGrid(), args.outdir)
         peak = combined.argmax_point()
         report.append(f"{kind} argmax=({peak[0]:.6f}, {peak[1]:.6f})")
         for rank, comp in enumerate(superlevel_components(combined, args.cutoff), start=1):
@@ -487,10 +445,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError too, and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

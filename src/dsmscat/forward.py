@@ -24,6 +24,15 @@ from .special import bessel_j, bessel_y, hankel1
 
 MAX_CELLS = 5000
 
+# geometry fields of each shape kind, in the order a config ``shape`` line
+# gives them; all are positive lengths except the bar's angle
+SHAPE_FIELDS = {
+    "square": ("side",),
+    "disk": ("radius",),
+    "ring": ("outer_side", "inner_side"),
+    "bar": ("length", "thickness", "angle"),
+}
+
 
 @dataclass(frozen=True)
 class ShapeSpec:
@@ -37,7 +46,8 @@ class ShapeSpec:
       radians about its center (used for cracks)
     * "disk": circle of ``radius``
 
-    Exactly one of ``eta`` / ``nsq`` must be given.
+    Exactly one of ``eta`` / ``nsq`` must be given, and every number must
+    be finite.
     """
 
     kind: str
@@ -56,18 +66,15 @@ class ShapeSpec:
         if (self.eta is None) == (self.nsq is None):
             raise ValueError("exactly one of eta / nsq must be set")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        needed = {
-            "square": ("side",),
-            "ring": ("outer_side", "inner_side"),
-            "bar": ("length", "thickness"),
-            "disk": ("radius",),
-        }
-        if self.kind not in needed:
+        if self.kind not in SHAPE_FIELDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        for name in needed[self.kind]:
+        material = self.eta if self.nsq is None else self.nsq
+        if not np.all(np.isfinite([*self.center, self.angle, material])):
+            raise ValueError("shape center, angle and eta / nsq must be finite")
+        for name in SHAPE_FIELDS[self.kind]:
             v = getattr(self, name)
-            if v is None or not v > 0:
-                raise ValueError(f"{self.kind} needs positive {name}")
+            if name != "angle" and (v is None or not 0 < v < np.inf):
+                raise ValueError(f"{self.kind} needs a finite positive {name}")
         if self.kind == "ring" and not self.inner_side < self.outer_side:
             raise ValueError("ring needs inner_side < outer_side")
         if self.kind == "bar" and not self.thickness < self.length:

@@ -36,6 +36,8 @@ class SamplingGrid:
     h: float = 0.01
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.xmin, self.xmax, self.ymin, self.ymax, self.h])):
+            raise ValueError("grid bounds and pitch must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid bounds must satisfy min < max")
         if not self.h > 0:
@@ -84,82 +86,56 @@ class IndicatorGrid:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
 
-def _weighted_quotient(u, gram, weight, g_norms):
-    """|<u, g_p>| / (||u|| ||g_p||) columnwise for the kernel matrix gram."""
-    norm_u = np.sqrt(weight) * np.linalg.norm(u)
+def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndarray:
+    """Receivers x points matrix of G_inf (far data) or G (near data)."""
+    if data.kind == "far":
+        return green_farfield(ctx, data.locations[:, None, :], points[None, :, :])
+    r = np.sqrt(np.sum(points**2, axis=1))
+    if np.any(r >= data.radius - 1e-12):
+        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+    return green(ctx, data.locations[:, None, :], points[None, :, :])
+
+
+def _correlation(data: FieldSamples, gram: np.ndarray) -> np.ndarray:
+    """|<u, g_p>| / (||u|| ||g_p||) for every column g_p of the kernel gram."""
+    radius = 1.0 if data.kind == "far" else data.radius
+    weight = 2.0 * np.pi * radius / len(data.values)
+    norm_u = np.sqrt(weight) * np.linalg.norm(data.values)
     if norm_u == 0.0:
         raise DegenerateDataError("measured data is identically zero")
-    inner = weight * (np.conj(gram).T @ u)
+    g_norms = np.sqrt(weight) * np.linalg.norm(gram, axis=0)
+    inner = weight * (np.conj(gram).T @ data.values)
     return np.abs(inner) / (norm_u * g_norms)
 
 
-def _far_kernel(ctx, locations, points):
-    gram = green_farfield(ctx, locations[:, None, :], points[None, :, :])
-    return gram
+def indicator_values(ctx: WaveContext, data: FieldSamples, points):
+    """Indicator of near or far data (by data.kind) at one point or at each
+    row of an (n, 2) array; near-data points must lie strictly inside the
+    measurement circle."""
+    pts = np.asarray(points, dtype=float)
+    values = _correlation(data, _kernel(ctx, data, np.atleast_2d(pts)))
+    return float(values[0]) if pts.ndim == 1 else values
 
 
-def _near_kernel(ctx, locations, points, radius):
-    r = np.sqrt(np.sum(points**2, axis=1))
-    if np.any(r >= radius - 1e-12):
-        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
-    return green(ctx, locations[:, None, :], points[None, :, :])
+# The kernel of the last indicator_grid call, keyed by its measurement
+# geometry and grid: the kernel dominates the runtime, and the incidents
+# and noise realizations of one geometry share it.  It holds one kernel
+# and drops it before building another, so at most one is alive.
+_KERNEL_MEMO: dict = {}
 
 
-def _indicator_values(ctx: WaveContext, data: FieldSamples, points: np.ndarray,
-                      gram: np.ndarray | None = None) -> np.ndarray:
-    count = len(data.values)
-    if data.kind == "far":
-        weight = 2.0 * np.pi / count
-        if gram is None:
-            gram = _far_kernel(ctx, data.locations, points)
-    else:
-        weight = 2.0 * np.pi * data.radius / count
-        if gram is None:
-            gram = _near_kernel(ctx, data.locations, points, data.radius)
-    g_norms = np.sqrt(weight) * np.linalg.norm(gram, axis=0)
-    return _weighted_quotient(data.values, gram, weight, g_norms)
-
-
-def indicator_far(ctx: WaveContext, data: FieldSamples, xp) -> float:
-    """Far-field indicator at one sampling point."""
-    if data.kind != "far":
-        raise ValueError("indicator_far needs far-field samples")
-    pt = np.atleast_2d(np.asarray(xp, dtype=float))
-    return float(_indicator_values(ctx, data, pt)[0])
-
-
-def indicator_near(ctx: WaveContext, data: FieldSamples, xp) -> float:
-    """Near-field indicator at one sampling point strictly inside the circle."""
-    if data.kind != "near":
-        raise ValueError("indicator_near needs near-field samples")
-    pt = np.atleast_2d(np.asarray(xp, dtype=float))
-    return float(_indicator_values(ctx, data, pt)[0])
-
-
-# kernel matrices keyed by measurement geometry and grid; the matrices
-# dominate the runtime, and repeated noise realizations share them
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_SLOTS = 2
-
-
-def _cached_kernel(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
+def _memo_kernel(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
     key = (data.kind, ctx.k, ctx.dim, data.locations.tobytes(),
            grid.xmin, grid.xmax, grid.ymin, grid.ymax, grid.h)
-    if key not in _KERNEL_CACHE:
-        points = grid.nodes()
-        if data.kind == "far":
-            gram = _far_kernel(ctx, data.locations, points)
-        else:
-            gram = _near_kernel(ctx, data.locations, points, data.radius)
-        while len(_KERNEL_CACHE) >= _KERNEL_CACHE_SLOTS:
-            _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-        _KERNEL_CACHE[key] = gram
-    return _KERNEL_CACHE[key]
+    if key not in _KERNEL_MEMO:
+        _KERNEL_MEMO.clear()
+        _KERNEL_MEMO[key] = _kernel(ctx, data, grid.nodes())
+    return _KERNEL_MEMO[key]
 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:
     """Evaluate the indicator at every node and rescale so the max is 1."""
-    raw = _indicator_values(ctx, data, grid.nodes(), gram=_cached_kernel(ctx, data, grid))
+    raw = _correlation(data, _memo_kernel(ctx, data, grid))
     top = raw.max()
     if top == 0.0:
         raise DegenerateDataError("indicator vanishes on the whole grid")

@@ -39,8 +39,8 @@ class WaveContext:
     dim: int = 2
 
     def __post_init__(self):
-        if not (self.k > 0):
-            raise ValueError("wavenumber k must be positive")
+        if not 0 < self.k < np.inf:
+            raise ValueError("wavenumber k must be finite and positive")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
 

@@ -128,21 +128,21 @@ def _miller_j01(x):
     # the discarded tail below 1e-18 relative
     start = int(xmax) + 16 + int(16.0 * (0.5 * max(xmax, 1.0)) ** (1.0 / 3.0))
     start += start % 2  # even start keeps the normalization sum aligned
+    two_over_x = 2.0 / x
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-30)
-    norm = np.zeros_like(x)
-    j1 = np.zeros_like(x)
+    fm = np.empty_like(x)
+    even = np.zeros_like(x)  # f_2 + f_4 + ...; J0 + 2 sum J_2m = 1 normalizes
     for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp = f
-        f = fm
-        if m == 1:
-            j1 = fp
-        if (m - 1) % 2 == 0 and m - 1 >= 2:
-            norm = norm + 2.0 * f
-    j0 = f
-    norm = norm + f
-    return j0 / norm, j1 / norm
+        # f_{m-1} = (2m / x) f_m - f_{m+1}, in place
+        np.multiply(two_over_x, m, out=fm)
+        fm *= f
+        fm -= fp
+        fp, f, fm = f, fm, fp
+        if m % 2 and m > 1:
+            even += f
+    norm = 2.0 * even + f
+    return f / norm, fp / norm
 
 
 def _miller_jn(n: int, x):

@@ -26,9 +26,8 @@ from dsmscat import (
     far_angles,
     farfield_correlation,
     green_farfield,
-    indicator_far,
     indicator_grid,
-    indicator_near,
+    indicator_values,
     lemma_constant,
     lemma_sweep,
     near_circle_geometry,
@@ -208,8 +207,8 @@ def test_criterion_09_range_and_invariances():
     rng = np.random.default_rng(17)
     pts = rng.uniform(-2.0, 2.0, size=(100, 2))
     raw = np.array(
-        [indicator_far(CTX, far, p) for p in pts]
-        + [indicator_near(CTX, near, p) for p in pts]
+        [indicator_values(CTX, far, p) for p in pts]
+        + [indicator_values(CTX, near, p) for p in pts]
     )
     in_range = raw.min() >= 0.0 and raw.max() <= 1.0
     norms = np.linalg.norm(green_farfield(CTX, far.locations[:, None, :],

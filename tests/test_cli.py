@@ -57,10 +57,10 @@ def test_synthesize_ex1_writes_protocol_files(tmp_path):
     near = out / "ex1_near_inc0_eps0.csv"
     assert far.exists() and near.exists()
     far_lines = far.read_text().splitlines()
-    assert far_lines[0] == "# kind=far k=6.2831853 incident_deg=45.0"
+    assert far_lines[0] == "# kind=far k=6.283185307179586 incident_deg=45.0"
     assert len(far_lines) == 51  # header + 50 angles
     near_lines = near.read_text().splitlines()
-    assert near_lines[0] == "# kind=near k=6.2831853 incident_deg=45.0"
+    assert near_lines[0] == "# kind=near k=6.283185307179586 incident_deg=45.0"
     assert len(near_lines[1].split(",")) == 4
 
 
@@ -255,3 +255,39 @@ def test_reproduce_rejects_unknown_variant(tmp_path):
     rc = main(["reproduce", "--example", "ex1", "--variant", "bogus",
                "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+def test_non_finite_scatterer_input_is_a_config_error(tmp_path, capsys):
+    cases = (
+        ("shape = square 0 0 inf eta 1\nincidents = 45\n", "square 0 0 inf eta 1"),
+        ("shape = disk 0 0 0.2 eta nan\nincidents = 45\n", "disk 0 0 0.2 eta nan"),
+        ("scenario = ex1\nk = inf\n", "key 'k'"),
+    )
+    for text, named in cases:
+        cfg = _write(tmp_path / "cfg.txt", text)
+        capsys.readouterr()
+        assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2, text
+        assert named in capsys.readouterr().err, text
+
+
+def test_reproduce_equals_synthesize_then_image(tmp_path):
+    rep = tmp_path / "rep"
+    assert main(["reproduce", "--example", "ex1", "--epsilon", "0.2", "--seed", "7",
+                 "--outdir", str(rep)]) == 0
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\nnoise.epsilon = 0, 0.2\n")
+    syn = tmp_path / "syn"
+    assert main(["synthesize", "--config", cfg, "--seed", "7", "--outdir", str(syn)]) == 0
+    names = sorted(p.name for p in syn.iterdir())
+    assert names == sorted(p.name for p in rep.glob("ex1_*.csv"))
+    for name in names:
+        assert (syn / name).read_bytes() == (rep / name).read_bytes(), name
+    img = tmp_path / "img"
+    for kind in ("near", "far"):
+        data = str(syn / f"ex1_{kind}_inc0_eps0.2.csv")
+        assert main(["image", "--data", data, "--outdir", str(img)]) == 0
+        ours = np.loadtxt(img / f"indicator_{kind}.csv", delimiter=",", skiprows=2)
+        theirs = np.loadtxt(rep / f"indicator_{kind}.csv", delimiter=",", skiprows=2)
+        np.testing.assert_array_equal(ours[:, :2], theirs[:, :2])
+        np.testing.assert_allclose(ours[:, 2], theirs[:, 2], rtol=0.0, atol=1e-12)
+        ppm = f"indicator_{kind}.ppm"
+        assert (img / ppm).read_bytes() == (rep / ppm).read_bytes(), kind

@@ -6,9 +6,8 @@ from dsmscat.indicators import (
     IndicatorGrid,
     SamplingGrid,
     combine_max,
-    indicator_far,
     indicator_grid,
-    indicator_near,
+    indicator_values,
     superlevel_components,
 )
 from dsmscat.kernels import WaveContext, green, green_farfield
@@ -48,6 +47,8 @@ def test_sampling_grid_validation():
         SamplingGrid(xmin=1.0, xmax=-1.0)
     with pytest.raises(ValueError):
         SamplingGrid(h=0.0)
+    with pytest.raises(ValueError):
+        SamplingGrid(xmax=np.inf)
     tiny = SamplingGrid(xmin=0.0, xmax=0.5, ymin=0.0, ymax=0.5, h=1.0)
     assert tiny.shape == (1, 1)
 
@@ -65,9 +66,7 @@ def test_indicator_grid_validation():
 def test_far_indicator_collinear_data_peaks_at_one():
     z = np.array([0.3, -0.2])
     data = _far_point_source(z)
-    assert indicator_far(CTX, data, z) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        indicator_near(CTX, data, z)
+    assert indicator_values(CTX, data, z) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_far_indicator_follows_bessel_law():
@@ -76,38 +75,36 @@ def test_far_indicator_follows_bessel_law():
     z = np.array([0.3, -0.2])
     data = _far_point_source(z)
     first_zero = 2.404825557695773 / CTX.k
-    assert indicator_far(CTX, data, z + [first_zero, 0.0]) == pytest.approx(0.0, abs=0.02)
+    assert indicator_values(CTX, data, z + [first_zero, 0.0]) == pytest.approx(0.0, abs=0.02)
     rng = np.random.default_rng(5)
     for _ in range(20):
         offset = rng.uniform(-1.0, 1.0, size=2)
         r = np.hypot(*offset)
         if r > 1.0:
             continue
-        val = indicator_far(CTX, data, z + offset)
+        val = indicator_values(CTX, data, z + offset)
         assert abs(val - abs(bessel_j(0, CTX.k * r))) < 0.02
 
 
 def test_near_indicator_collinear_data_and_domain():
     z = np.array([-0.4, 0.1])
     data = _near_point_source(z)
-    assert indicator_near(CTX, data, z) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        indicator_far(CTX, data, z)
+    assert indicator_values(CTX, data, z) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EvaluationPointError):
-        indicator_near(CTX, data, np.array([4.5, 0.0]))
+        indicator_values(CTX, data, np.array([4.5, 0.0]))
     with pytest.raises(EvaluationPointError):
-        indicator_near(CTX, data, np.array([4.0, 0.0]))
+        indicator_values(CTX, data, np.array([4.0, 0.0]))
 
 
 def test_indicators_reject_zero_data():
     dirs = far_angles(50)
     zero_far = FieldSamples(kind="far", locations=dirs, values=np.zeros(50), incident=D1)
     with pytest.raises(DegenerateDataError):
-        indicator_far(CTX, zero_far, np.zeros(2))
+        indicator_values(CTX, zero_far, np.zeros(2))
     pts = near_circle_geometry(CTX, 4.0, 50)
     zero_near = FieldSamples(kind="near", locations=pts, values=np.zeros(50), incident=D1)
     with pytest.raises(DegenerateDataError):
-        indicator_near(CTX, zero_near, np.zeros(2))
+        indicator_values(CTX, zero_near, np.zeros(2))
     grid = SamplingGrid(xmin=-1, xmax=1, ymin=-1, ymax=1, h=0.5)
     with pytest.raises(DegenerateDataError):
         indicator_grid(CTX, zero_far, grid)
@@ -225,3 +222,13 @@ def test_argmax_tie_breaks_row_major():
     values[2, 0] = 1.0
     g = _grid_from(values)
     np.testing.assert_allclose(g.argmax_point(), [2.0, 1.0])  # (x, y) of row 1, col 2
+
+
+def test_indicator_values_points_array_matches_single_points():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, size=(7, 2))
+    for data in (_far_point_source([0.3, -0.2]), _near_point_source([-0.4, 0.1])):
+        many = indicator_values(CTX, data, pts)
+        assert many.shape == (7,)
+        single = [indicator_values(CTX, data, p) for p in pts]
+        np.testing.assert_allclose(many, single, rtol=0.0, atol=1e-15)
