@@ -10,8 +10,13 @@ comparability, not a change to the indicator.
 Discrete L2 inner products use uniform quadrature weights on the
 uniform circular measurement layouts (2 pi / count for directions,
 arc length 2 pi R / count for near points).  The weights cancel in the
-normalized quotient; they are applied uniformly anyway so the norms
-reported by intermediate quantities stay meaningful.
+normalized quotient; the dense kernel path applies them anyway so its
+norms stay meaningful.
+
+A grid evaluation builds no receivers x nodes kernel: far data separate
+on the tensor grid, and near data from equispaced receivers expand in
+Graf's series.  The dense kernel serves point evaluation and the
+layouts those two do not cover.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import DegenerateDataError, EvaluationPointError
 from .kernels import WaveContext, green, green_farfield
 from .measurement import FieldSamples
+from .special import _miller_jn, bessel_y
 
 
 @dataclass(frozen=True)
@@ -117,29 +123,171 @@ def indicator_values(ctx: WaveContext, data: FieldSamples, points):
     return float(values[0]) if pts.ndim == 1 else values
 
 
-# The kernel of the last indicator_grid call, keyed by its measurement
-# geometry and grid: the kernel dominates the runtime, and the incidents
-# and noise realizations of one geometry share it.  It holds one kernel
-# and drops it before building another, so at most one is alive.
-_KERNEL_MEMO: dict = {}
+def _unit_values(data: FieldSamples) -> np.ndarray:
+    """The data scaled to unit norm; the weights cancel in the quotient."""
+    norm_u = np.linalg.norm(data.values)
+    if norm_u == 0.0:
+        raise DegenerateDataError("measured data is identically zero")
+    return data.values / norm_u
 
 
-def _memo_kernel(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
-    key = (data.kind, ctx.k, ctx.dim, data.locations.tobytes(),
-           grid.xmin, grid.xmax, grid.ymin, grid.ymax, grid.h)
-    if key not in _KERNEL_MEMO:
-        _KERNEL_MEMO.clear()
-        _KERNEL_MEMO[key] = _kernel(ctx, data, grid.nodes())
-    return _KERNEL_MEMO[key]
+def _far_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
+    """_correlation of far data on the tensor grid without the kernel.
+
+    conj(G_inf) carries exp(ik xhat.y) = exp(ik xhat_1 x) exp(ik xhat_2 y),
+    so the inner products are E_y^T diag(u) E_x, and every kernel column
+    has the norm sqrt(n) |G_inf|.
+    """
+    u = _unit_values(data)
+    e_x = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 0], grid.xs))
+    e_y = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 1], grid.ys))
+    return np.abs(e_y.T @ (u[:, None] * e_x)) / np.sqrt(len(u))
+
+
+# The Graf series drops the orders whose terms |H_m(kR) J_m(kr)| add up to
+# less than _GRAF_TAIL, and is used only while |H_m(kR)| <= _GRAF_CAP for
+# every order it keeps: that keeps H_m finite and each J_m(kr) paired with
+# it a normal number wherever the term matters.
+_GRAF_TAIL = 1e-16
+_GRAF_CAP = 1e250
+# J_m values per block of sampling nodes (orders x nodes), so a block's
+# arrays stay a few megabytes whatever the order count.
+_GRAF_BLOCK = 1 << 19
+
+
+def _receiver_phase(data: FieldSamples):
+    """phi_0 when the receivers sit at phi_0 + 2 pi j / n, j = 0..n-1, on
+    their circle (to rounding), else None."""
+    radius, count = data.radius, len(data.values)
+    phi0 = float(np.arctan2(data.locations[0, 1], data.locations[0, 0]))
+    phi = phi0 + 2.0 * np.pi * np.arange(count) / count
+    ideal = radius * np.column_stack([np.cos(phi), np.sin(phi)])
+    return phi0 if np.max(np.abs(data.locations - ideal)) <= 1e-14 * radius else None
+
+
+def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
+    """Smallest M whose dropped orders m > M of sum H_m(kR) J_m(kr) stay
+    below _GRAF_TAIL, or -1 when no order in log_h's range suffices.
+
+    |J_m(kr)| <= (kr/2)^m / m! (DLMF 10.14.4) bounds term m by t_m, and
+    |H_{m+1}| <= (2m/kR + 1)|H_m| bounds t_{m+1}/t_m by
+    rho_m = r/R + kr / (2(m + 1)), so the tail past M is below
+    t_M rho_M / (1 - rho_M) once rho_M < 1.
+    """
+    if kr == 0.0:
+        return 0
+    m = np.arange(len(log_h))
+    log_t = log_h + m * np.log(0.5 * kr) - np.cumsum(np.log(np.maximum(m, 1)))
+    rho = kr / kr_big + 0.5 * kr / (m + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (rho < 1.0) & (log_t + np.log(rho / (1.0 - rho)) <= np.log(_GRAF_TAIL))
+    return int(np.argmax(ok)) if ok.any() else -1
+
+
+def _graf_hankel(kr_big: float, kr_max: float):
+    """H_0..H_M(kR) for the order M that _graf_order sets for kr_max, or
+    None when that order would pass _GRAF_CAP.  Y_m comes from upward
+    recurrence (stable for Y), J_m from one Miller sweep."""
+    y = [bessel_y(0, kr_big), bessel_y(1, kr_big)]
+    while abs(y[-1]) <= _GRAF_CAP:
+        y.append(2.0 * (len(y) - 1) / kr_big * y[-1] - y[-2])
+    y = np.array(y[:-1])
+    order = _graf_order(np.log(np.abs(y) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
+    if order < 0:
+        return None
+    return _miller_jn(order, np.array([kr_big]))[:, 0] + 1j * y[:order + 1]
+
+
+def _aliased_norms(hj: np.ndarray, unit: np.ndarray, count: int, theta: np.ndarray) -> np.ndarray:
+    """sum_p |S_p|^2 at each node from the rows |H_m| J_m, m = 0..M, and the
+    phases unit_m = H_m / |H_m|.
+
+    sum_p |S_p|^2 = sum_d C_d e^{-i s theta} with s = dn and
+    C_d = sum_m Re(unit_|m| conj(unit_|m-s|)) |H J|_|m| |H J|_|m-s| over
+    m in [s - M, M].  C_-d = C_d, and m and s - m give equal terms, so the
+    orders m <= 0 repeat those m >= s and only m >= 0 are summed.
+    """
+    top = len(hj) - 1
+    unit = unit[:top + 1]
+    total = 2.0 * np.sum(hj * hj, axis=0) - hj[0] * hj[0]  # m and -m, m = 0 once
+    for shift in range(count, 2 * top + 1, count):
+        rest = max(0, top + 1 - shift)
+        tail = np.real(unit[shift:] * np.conj(unit[:rest])) @ (hj[shift:] * hj[:rest])
+        lo, hi = max(1, shift - top), min(shift - 1, top)
+        pairs = slice(shift - lo, shift - hi - 1, -1)  # s - m for m = lo..hi
+        middle = np.real(unit[lo:hi + 1] * np.conj(unit[pairs])) @ (hj[lo:hi + 1] * hj[pairs])
+        total += 2.0 * (2.0 * tail + middle) * np.cos(shift * theta)
+    return total
+
+
+def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid,
+                           r: np.ndarray, phi0: float, hankel: np.ndarray) -> np.ndarray:
+    """_correlation of near data from receivers at phi_0 + 2 pi j / n on the
+    circle of radius R, by Graf's addition theorem (DLMF 10.23.7).
+
+    With y = r e^{i theta}, z = e^{i(theta - phi_0)} and U the DFT of u,
+    H0(k|x_j - y|) = sum_m H_m(kR) J_m(kr) e^{im(phi_j - theta)} gives
+
+        inner products  -(i/4) sum_m conj(H_m(kR)) J_m(kr) U_{m mod n} z^m,
+        squared norms   (n/16) sum_p |S_p|^2,  S_p = sum_{m = p mod n} H_m J_m z^-m,
+
+    over |m| <= M.  H_-m J_-m = H_m J_m, so only orders m >= 0 are
+    evaluated, as |H_m| J_m, which stays finite where |H_m| alone would
+    not.  Nodes go in blocks of similar radius, each with the order count
+    its largest radius needs.
+    """
+    spectrum = np.fft.fft(_unit_values(data))
+    count, kr_big = len(spectrum), ctx.k * data.radius
+    orders = np.arange(len(hankel))
+    size = np.abs(hankel)
+    log_h, unit = np.log(size), hankel / size
+    lead = -0.25j * np.conj(unit)
+    # coefficients of |H_m| J_m z^m and (conjugated) of |H_m| J_m conj(z)^m, m >= 1
+    coeffs = np.stack([lead * spectrum[orders % count], np.conj(lead * spectrum[-orders % count])])
+    out = np.empty(r.size)
+    by_radius = np.argsort(r, kind="stable")
+    step = max(1, _GRAF_BLOCK // len(hankel))
+    for begin in range(0, r.size, step):
+        nodes = by_radius[begin:begin + step]
+        top = _graf_order(log_h, ctx.k * r[nodes[-1]], kr_big)
+        hj = _miller_jn(top, ctx.k * r[nodes])
+        hj *= size[:top + 1, None]
+        iy, ix = np.divmod(nodes, grid.shape[1])
+        theta = np.arctan2(grid.ys[iy], grid.xs[ix]) - phi0
+        z = np.exp(1j * theta)
+        acc = np.zeros((2, nodes.size), dtype=complex)
+        for m in range(top, 0, -1):  # Horner's rule in z
+            acc += coeffs[:, m, None] * hj[m]
+            acc *= z
+        inner = coeffs[0, 0] * hj[0] + acc[0] + np.conj(acc[1])
+        out[nodes] = np.abs(inner) / (0.25 * np.sqrt(count * _aliased_norms(hj, unit, count, theta)))
+    return out.reshape(grid.shape)
+
+
+def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
+    """_correlation at every grid node, without a kernel wherever the
+    geometry allows; the dense kernel serves dim 3, near receivers that
+    are not equispaced, and near grids reaching past the Graf order cap."""
+    if ctx.dim == 2 and data.kind == "far":
+        return _far_grid_correlation(ctx, data, grid)
+    if ctx.dim == 2:
+        r = np.sqrt(grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2).ravel()
+        if np.any(r >= data.radius - 1e-12):
+            raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+        phi0 = _receiver_phase(data)
+        hankel = None if phi0 is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
+        if hankel is not None:
+            return _near_grid_correlation(ctx, data, grid, r, phi0, hankel)
+    return _correlation(data, _kernel(ctx, data, grid.nodes())).reshape(grid.shape)
 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:
     """Evaluate the indicator at every node and rescale so the max is 1."""
-    raw = _correlation(data, _memo_kernel(ctx, data, grid))
+    raw = _grid_correlation(ctx, data, grid)
     top = raw.max()
     if top == 0.0:
         raise DegenerateDataError("indicator vanishes on the whole grid")
-    return IndicatorGrid(grid=grid, values=(raw / top).reshape(grid.shape))
+    return IndicatorGrid(grid=grid, values=raw / top)
 
 
 def combine_max(grids) -> IndicatorGrid:

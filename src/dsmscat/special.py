@@ -145,33 +145,41 @@ def _miller_j01(x):
     return f / norm, fp / norm
 
 
-def _miller_jn(n: int, x):
-    """J_n for general n >= 2 by backward recurrence with overflow rescaling."""
+def _miller_jn(order: int, x):
+    """J_0 .. J_order at each x >= 0 as the rows of an (order + 1, x.size)
+    array, by one backward recurrence with overflow rescaling."""
+    zero = x == 0.0
+    x = np.where(zero, 1.0, x)  # any positive stand-in; fixed up below
     xmax = float(np.max(x)) if x.size else 0.0
-    top = max(n, int(xmax))
+    top = max(order, int(xmax))
     start = top + 44 + int(16.0 * (0.5 * max(xmax, 1.0)) ** (1.0 / 3.0)) + top // 4
     start += start % 2
+    rows = np.empty((order + 1, x.size))
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-30)
-    norm = np.zeros_like(x)
-    jn = np.zeros_like(x)
+    fm = np.empty_like(x)
+    size = np.empty_like(x)
+    even = np.zeros_like(x)  # f_2 + f_4 + ...; J0 + 2 sum J_2m = 1 normalizes
     for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * f - fp
-        fp = f
-        f = fm
-        if m - 1 == n:
-            jn = f.copy()
+        # f_{m-1} = (2m / x) f_m - f_{m+1}, in place
+        np.divide(2.0 * m, x, out=fm)
+        fm *= f
+        fm -= fp
+        fp, f, fm = f, fm, fp
+        if m - 1 <= order:
+            rows[m - 1] = f
         if (m - 1) % 2 == 0 and m - 1 >= 2:
-            norm = norm + 2.0 * f
-        big = np.abs(f) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            f = f * scale
-            fp = fp * scale
-            norm = norm * scale
-            jn = jn * scale
-    norm = norm + f
-    return jn / norm
+            even += f
+        if np.abs(f, out=size).max(initial=0.0) > 1e250:
+            scale = np.where(size > 1e250, 1e-250, 1.0)
+            f *= scale
+            fp *= scale
+            even *= scale
+            rows[m - 1:] *= scale
+    rows /= 2.0 * even + f
+    rows[:, zero] = 0.0
+    rows[0, zero] = 1.0
+    return rows
 
 
 def _series_jn(n: int, x):
@@ -264,7 +272,7 @@ def bessel_j(order: int, x):
         if np.any(ser):
             out[ser] = _series_jn(order, ax[ser])
         if np.any(mil):
-            out[mil] = _miller_jn(order, ax[mil])
+            out[mil] = _miller_jn(order, ax[mil])[order]
     if order % 2 == 1:
         out[arr < 0] *= -1.0  # odd orders are odd functions
     return float(out[0]) if scalar else out

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dsmscat import indicators
 from dsmscat.errors import DegenerateDataError, EvaluationPointError
 from dsmscat.indicators import (
     IndicatorGrid,
     SamplingGrid,
+    _correlation,
+    _graf_hankel,
+    _grid_correlation,
+    _kernel,
     combine_max,
     indicator_grid,
     indicator_values,
@@ -232,3 +239,134 @@ def test_indicator_values_points_array_matches_single_points():
         assert many.shape == (7,)
         single = [indicator_values(CTX, data, p) for p in pts]
         np.testing.assert_allclose(many, single, rtol=0.0, atol=1e-15)
+
+
+# Matrix-free grid evaluation against the dense kernel it replaces.
+
+def _dense(ctx, data, grid):
+    return _correlation(data, _kernel(ctx, data, grid.nodes())).reshape(grid.shape)
+
+
+def _random_values(rng, count):
+    return rng.normal(size=count) + 1j * rng.normal(size=count)
+
+
+def _ring(count, radius, phi0):
+    phi = phi0 + 2.0 * np.pi * np.arange(count) / count
+    return radius * np.column_stack([np.cos(phi), np.sin(phi)])
+
+
+def _takes_graf_path(ctx, data, grid):
+    r_max = np.hypot(max(abs(grid.xmin), abs(grid.xs[-1])), max(abs(grid.ymin), abs(grid.ys[-1])))
+    return _graf_hankel(ctx.k * data.radius, ctx.k * r_max) is not None
+
+
+def test_far_grid_matches_dense_kernel():
+    # directions that are not equispaced, an off-centre non-square grid, k != 2 pi
+    rng = np.random.default_rng(21)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=37))
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    data = FieldSamples(kind="far", locations=dirs, values=_random_values(rng, 37), incident=D1)
+    ctx = WaveContext(k=3.7)
+    grid = SamplingGrid(xmin=-0.7, xmax=1.9, ymin=-2.3, ymax=-0.4, h=0.05)
+    fast = _grid_correlation(ctx, data, grid)
+    assert fast.shape == grid.shape == (39, 53)
+    assert np.max(np.abs(fast - _dense(ctx, data, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("count, k, radius, half_width", [
+    (50, 2.0 * np.pi, 4.0, 2.0),  # the protocol layout, r/R up to 0.71
+    (8, 5.0, 2.0, 1.0),  # few receivers: orders alias heavily
+    (64, 6.0 * np.pi, 4.0, 2.5),  # r/R up to 0.88
+])
+def test_near_grid_matches_dense_kernel(count, k, radius, half_width):
+    rng = np.random.default_rng(count)
+    ctx = WaveContext(k=k)
+    data = FieldSamples(kind="near", locations=_ring(count, radius, 0.37),
+                        values=_random_values(rng, count), incident=D1)
+    # pitch 1/8 puts a node exactly on the origin
+    grid = SamplingGrid(xmin=-half_width, xmax=half_width, ymin=-half_width, ymax=half_width, h=0.125)
+    assert np.any(np.all(grid.nodes() == 0.0, axis=1))
+    assert _takes_graf_path(ctx, data, grid)
+    fast = _grid_correlation(ctx, data, grid)
+    dense = _dense(ctx, data, grid)
+    assert np.max(np.abs(fast - dense)) <= 1e-11
+    values = indicator_grid(ctx, data, grid).values
+    assert np.max(np.abs(values - dense / dense.max())) <= 1e-11
+
+
+def test_near_grid_property_against_dense_kernel():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(
+        count=st.integers(3, 70),
+        phi0=st.floats(-np.pi, np.pi),
+        k=st.floats(0.5, 15.0),
+        radius=st.floats(1.0, 5.0),
+        reach=st.floats(0.05, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(count, phi0, k, radius, reach, seed):
+        rng = np.random.default_rng(seed)
+        ctx = WaveContext(k=k)
+        data = FieldSamples(kind="near", locations=_ring(count, radius, phi0),
+                            values=_random_values(rng, count), incident=D1)
+        half = reach * radius / np.sqrt(2.0)  # corners at r/R = reach
+        grid = SamplingGrid(xmin=-half, xmax=half, ymin=-0.5 * half, ymax=half, h=half / 4.0)
+        assert np.max(np.abs(_grid_correlation(ctx, data, grid) - _dense(ctx, data, grid))) <= 1e-11
+
+    check()
+
+
+def test_grid_fallbacks_equal_the_dense_kernel():
+    rng = np.random.default_rng(8)
+    values = _random_values(rng, 50)
+    grid = SamplingGrid(xmin=-1.0, xmax=1.0, ymin=-1.0, ymax=1.0, h=0.1)
+    # receivers on the circle but not equispaced
+    angles = 2.0 * np.pi * np.arange(50) / 50
+    angles[7] += 1e-3
+    uneven = FieldSamples(kind="near", locations=4.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
+                          values=values, incident=D1)
+    np.testing.assert_array_equal(_grid_correlation(CTX, uneven, grid), _dense(CTX, uneven, grid))
+    # a grid reaching r/R = 0.95, where H_M(kR) would pass the order cap
+    data = FieldSamples(kind="near", locations=near_circle_geometry(CTX, 4.0, 50), values=values, incident=D1)
+    wide = SamplingGrid(xmin=-2.68, xmax=2.68, ymin=-2.68, ymax=2.68, h=0.67)
+    assert not _takes_graf_path(CTX, data, wide)
+    np.testing.assert_array_equal(_grid_correlation(CTX, data, wide), _dense(CTX, data, wide))
+    # dim 3
+    ctx3 = WaveContext(k=2.0 * np.pi, dim=3)
+    np.testing.assert_array_equal(_grid_correlation(ctx3, data, grid), _dense(ctx3, data, grid))
+
+
+def test_grid_errors_as_with_the_dense_kernel():
+    pts = near_circle_geometry(CTX, 4.0, 50)
+    zero_near = FieldSamples(kind="near", locations=pts, values=np.zeros(50), incident=D1)
+    with pytest.raises(DegenerateDataError):
+        indicator_grid(CTX, zero_near, SamplingGrid(xmin=-1, xmax=1, ymin=-1, ymax=1, h=0.5))
+    # the point check comes before the data check, and r = R is outside
+    on_circle = SamplingGrid(xmin=0.0, xmax=4.0, ymin=0.0, ymax=1.0, h=1.0)
+    with pytest.raises(EvaluationPointError):
+        indicator_grid(CTX, zero_near, on_circle)
+    # two opposite receivers with opposite data see nothing at the origin
+    origin = SamplingGrid(xmin=0.0, xmax=0.5, ymin=0.0, ymax=0.5, h=1.0)
+    for kind, radius in (("far", 1.0), ("near", 4.0)):
+        pair = FieldSamples(kind=kind, locations=[[radius, 0.0], [-radius, 0.0]],
+                            values=[1.0, -1.0], incident=D1)
+        assert _dense(CTX, pair, origin)[0, 0] == 0.0
+        with pytest.raises(DegenerateDataError, match="vanishes"):
+            indicator_grid(CTX, pair, origin)
+
+
+def test_grid_evaluation_memory_stays_small():
+    assert not hasattr(indicators, "_KERNEL_MEMO")
+    grid = SamplingGrid()
+    for data in (_far_point_source([0.3, -0.2]), _near_point_source([-0.4, 0.1])):
+        tracemalloc.start()
+        try:
+            indicator_grid(CTX, data, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, (data.kind, peak)

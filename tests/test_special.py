@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dsmscat.special import (
+    _miller_jn,
     bessel_j,
     bessel_y,
     hankel1,
@@ -285,6 +286,22 @@ def test_orders_0_1_against_scipy():
         assert np.all(np.abs(bessel_y(n, x) - y_ref) <= 1e-10 * np.maximum(1.0, np.abs(y_ref))), f"Y{n}"
         h_ref = special.hankel1(n, x)
         assert np.all(np.abs(hankel1(n, x) - h_ref) <= 1e-10 * np.maximum(1.0, np.abs(h_ref))), f"H{n}"
+
+
+def test_miller_rows_against_scipy():
+    # every row J_0..J_M of one backward sweep, x = 0 included; orders up to
+    # 300 force the overflow rescaling at small x
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([[0.0], np.logspace(-3, np.log10(40.0), 500)])
+    rows = _miller_jn(60, x)
+    assert rows.shape == (61, x.size)
+    assert np.max(np.abs(rows - special.jv(np.arange(61)[:, None], x))) <= 1e-13
+    x = np.array([0.05, 1.0, 75.0])
+    rows = _miller_jn(300, x)
+    assert np.max(np.abs(rows - special.jv(np.arange(301)[:, None], x))) <= 1e-13
+    # bessel_j takes its row of the same sweep
+    x = np.linspace(8.0, 30.0, 50)
+    np.testing.assert_array_equal(_miller_jn(5, x)[5], bessel_j(5, x))
 
 
 def test_spherical_j0():
