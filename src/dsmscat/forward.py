@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DiscretizationError, EvaluationPointError, SolverError
 from .kernels import WaveContext, green, green_farfield, _check_direction
-from .special import bessel_j, bessel_y, hankel1
+from .special import _miller_jn, _y_rows, hankel1
 
 MAX_CELLS = 5000
 
@@ -264,10 +264,6 @@ def scattered_far(ctx: WaveContext, grid: CellGrid, current: InducedCurrent, xha
     return complex(vals[0]) if single else vals
 
 
-def _jn_derivative(order: int, x, jn, jn_minus1):
-    return jn_minus1 - (order / x) * jn
-
-
 def disk_series_farfield(ctx: WaveContext, radius: float, nsq, d, angles):
     """Partial-wave far field of a penetrable disk (analytic oracle).
 
@@ -294,24 +290,16 @@ def disk_series_farfield(ctx: WaveContext, radius: float, nsq, d, angles):
     m_max = int(np.ceil(k * radius)) + 20
     ka, k1a = k * radius, k1 * radius
 
-    # J and H at the two interface arguments for orders 0..m_max
-    coeffs = np.empty(m_max + 1, dtype=complex)
-    j_ka = np.array([bessel_j(m, ka) for m in range(m_max + 1)])
-    y_ka = np.array([bessel_y(m, ka) for m in range(m_max + 1)])
-    j_k1a = np.array([bessel_j(m, k1a) for m in range(m_max + 1)])
-    h_ka = j_ka + 1j * y_ka
-    for m in range(m_max + 1):
-        if m == 0:
-            jp_ka = -j_ka[1]
-            jp_k1a = -j_k1a[1]
-            hp_ka = -h_ka[1]
-        else:
-            jp_ka = _jn_derivative(m, ka, j_ka[m], j_ka[m - 1])
-            jp_k1a = _jn_derivative(m, k1a, j_k1a[m], j_k1a[m - 1])
-            hp_ka = _jn_derivative(m, ka, h_ka[m], h_ka[m - 1])
-        num = k1 * jp_k1a * j_ka[m] - k * jp_ka * j_k1a[m]
-        den = k * hp_ka * j_k1a[m] - k1 * jp_k1a * h_ka[m]
-        coeffs[m] = num / den
+    # J_0..J_{m_max+1} at both interface arguments from one sweep, and
+    # f'_m = (f_{m-1} - f_{m+1}) / 2 with f_{-1} = -f_1 for every derivative
+    j_ka, j_k1a = _miller_jn(m_max + 1, np.array([ka, k1a])).T
+    h_ka = j_ka + 1j * _y_rows(m_max + 1, np.array([ka]))[:, 0]
+    jp_ka, jp_k1a, hp_ka = (0.5 * (np.concatenate([-f[1:2], f[:-2]]) - f[1:])
+                            for f in (j_ka, j_k1a, h_ka))
+    j_ka, j_k1a, h_ka = j_ka[:-1], j_k1a[:-1], h_ka[:-1]
+    num = k1 * jp_k1a * j_ka - k * jp_ka * j_k1a
+    den = k * hp_ka * j_k1a - k1 * jp_k1a * h_ka
+    coeffs = num / den
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("partial-wave series did not converge")
 

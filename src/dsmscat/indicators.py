@@ -7,16 +7,16 @@ inequality.  A grid evaluation additionally divides by the grid maximum
 so the peak is pinned at 1; that is a display convention for contour
 comparability, not a change to the indicator.
 
-Discrete L2 inner products use uniform quadrature weights on the
-uniform circular measurement layouts (2 pi / count for directions,
-arc length 2 pi R / count for near points).  The weights cancel in the
-normalized quotient; the dense kernel path applies them anyway so its
-norms stay meaningful.
+Discrete L2 inner products on the uniform circular measurement layouts
+carry one uniform quadrature weight (2 pi / count for directions, arc
+length 2 pi R / count for near points).  It cancels in the normalized
+quotient, so no path applies it.
 
-A grid evaluation builds no receivers x nodes kernel: far data separate
-on the tensor grid, and near data from equispaced receivers expand in
-Graf's series.  The dense kernel serves point evaluation and the
-layouts those two do not cover.
+Imaging is two-dimensional: the data live on planar layouts.  A grid
+evaluation builds no receivers x nodes kernel: far data separate on the
+tensor grid, and near data from equispaced receivers expand in Graf's
+series.  The dense kernel serves point evaluation and the layouts those
+two do not cover.
 """
 
 from __future__ import annotations
@@ -102,33 +102,29 @@ def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndar
     return green(ctx, data.locations[:, None, :], points[None, :, :])
 
 
-def _correlation(data: FieldSamples, gram: np.ndarray) -> np.ndarray:
-    """|<u, g_p>| / (||u|| ||g_p||) for every column g_p of the kernel gram."""
-    radius = 1.0 if data.kind == "far" else data.radius
-    weight = 2.0 * np.pi * radius / len(data.values)
-    norm_u = np.sqrt(weight) * np.linalg.norm(data.values)
+def _data_norm(data: FieldSamples) -> float:
+    """||u||; identically zero data raise DegenerateDataError."""
+    norm_u = np.linalg.norm(data.values)
     if norm_u == 0.0:
         raise DegenerateDataError("measured data is identically zero")
-    g_norms = np.sqrt(weight) * np.linalg.norm(gram, axis=0)
-    inner = weight * (np.conj(gram).T @ data.values)
-    return np.abs(inner) / (norm_u * g_norms)
+    return norm_u
+
+
+def _correlation(data: FieldSamples, gram: np.ndarray) -> np.ndarray:
+    """|conj(G)^T u| / (||u|| ||g_p||) for every column g_p of the kernel gram."""
+    inner = np.abs(np.conj(gram).T @ data.values)
+    return inner / (_data_norm(data) * np.linalg.norm(gram, axis=0))
 
 
 def indicator_values(ctx: WaveContext, data: FieldSamples, points):
     """Indicator of near or far data (by data.kind) at one point or at each
     row of an (n, 2) array; near-data points must lie strictly inside the
     measurement circle."""
+    if ctx.dim != 2:
+        raise ValueError("imaging is two-dimensional")
     pts = np.asarray(points, dtype=float)
     values = _correlation(data, _kernel(ctx, data, np.atleast_2d(pts)))
     return float(values[0]) if pts.ndim == 1 else values
-
-
-def _unit_values(data: FieldSamples) -> np.ndarray:
-    """The data scaled to unit norm; the weights cancel in the quotient."""
-    norm_u = np.linalg.norm(data.values)
-    if norm_u == 0.0:
-        raise DegenerateDataError("measured data is identically zero")
-    return data.values / norm_u
 
 
 def _far_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
@@ -138,7 +134,7 @@ def _far_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGr
     so the inner products are E_y^T diag(u) E_x, and every kernel column
     has the norm sqrt(n) |G_inf|.
     """
-    u = _unit_values(data)
+    u = data.values / _data_norm(data)
     e_x = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 0], grid.xs))
     e_y = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 1], grid.ys))
     return np.abs(e_y.T @ (u[:, None] * e_x)) / np.sqrt(len(u))
@@ -236,7 +232,7 @@ def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingG
     not.  Nodes go in blocks of similar radius, each with the order count
     its largest radius needs.
     """
-    spectrum = np.fft.fft(_unit_values(data))
+    spectrum = np.fft.fft(data.values / _data_norm(data))
     count, kr_big = len(spectrum), ctx.k * data.radius
     orders = np.arange(len(hankel))
     size = np.abs(hankel)
@@ -266,23 +262,24 @@ def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingG
 
 def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> np.ndarray:
     """_correlation at every grid node, without a kernel wherever the
-    geometry allows; the dense kernel serves dim 3, near receivers that
-    are not equispaced, and near grids reaching past the Graf order cap."""
-    if ctx.dim == 2 and data.kind == "far":
+    geometry allows; the dense kernel serves near receivers that are not
+    equispaced and near grids reaching past the Graf order cap."""
+    if data.kind == "far":
         return _far_grid_correlation(ctx, data, grid)
-    if ctx.dim == 2:
-        r = np.sqrt(grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2).ravel()
-        if np.any(r >= data.radius - 1e-12):
-            raise EvaluationPointError("sampling point not strictly inside the measurement circle")
-        phi0 = _receiver_phase(data)
-        hankel = None if phi0 is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
-        if hankel is not None:
-            return _near_grid_correlation(ctx, data, grid, r, phi0, hankel)
+    r = np.sqrt(grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2).ravel()
+    if np.any(r >= data.radius - 1e-12):
+        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+    phi0 = _receiver_phase(data)
+    hankel = None if phi0 is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
+    if hankel is not None:
+        return _near_grid_correlation(ctx, data, grid, r, phi0, hankel)
     return _correlation(data, _kernel(ctx, data, grid.nodes())).reshape(grid.shape)
 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:
     """Evaluate the indicator at every node and rescale so the max is 1."""
+    if ctx.dim != 2:
+        raise ValueError("imaging is two-dimensional")
     raw = _grid_correlation(ctx, data, grid)
     top = raw.max()
     if top == 0.0:

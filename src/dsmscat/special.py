@@ -15,7 +15,9 @@ Orders 0 and 1, the hot path for kernel sweeps, share one evaluator,
   asymptotic expansion is not yet accurate,
 * Hankel's large-argument expansion gives J for x > 14 and Y for x > 12.
 
-Higher orders use their own series and recurrences.  All public
+That backward recurrence, ``_miller_jn``, is the package's one source of
+J for higher orders: a sweep returns every J_0 .. J_n at once.  Y of
+higher orders comes from upward recurrence on Y0 and Y1.  All public
 functions are vectorized; scalars in give scalars out.
 """
 
@@ -121,79 +123,60 @@ def _series01(nu: int, x: np.ndarray, with_y: bool):
     return j, y
 
 
-def _miller_j01(x):
-    """J0 and J1 by backward recurrence; intended for moderate x (<= ~30)."""
-    xmax = float(np.max(x)) if x.size else 0.0
-    # decay of J_m(x) sets in around m = x + O(x^{1/3}); the margin keeps
-    # the discarded tail below 1e-18 relative
-    start = int(xmax) + 16 + int(16.0 * (0.5 * max(xmax, 1.0)) ** (1.0 / 3.0))
+def _miller_jn(order: int, x):
+    """J_0 .. J_order at each x >= 0 as the rows of an (order + 1, x.size)
+    array, by one backward recurrence normalized by J0 + 2 sum J_2m = 1.
+
+    One start rule serves every row to absolute accuracy (Gautschi, SIAM
+    Rev. 9 (1967) 24), and the overflow rescaling runs only when the sweep
+    could overflow.
+    """
+    xmin = float(x.min(initial=1.0))
+    if xmin == 0.0:  # J_m(0) = [m == 0]; 1.0 stands in during the sweep
+        zero = x == 0.0
+        rows = _miller_jn(order, np.where(zero, 1.0, x))
+        rows[:, zero] = 0.0
+        rows[0, zero] = 1.0
+        return rows
+    xmax = float(x.max(initial=0.0))
+    # decay of J_m(x) sets in around m = x + O(x^{1/3})
+    top = max(order, int(xmax))
+    start = top + 16 + int(16.0 * (0.5 * max(xmax, 1.0)) ** (1.0 / 3.0))
     start += start % 2  # even start keeps the normalization sum aligned
+    # |f_{m-1}| <= (2m/x + 1) max(|f_m|, |f_{m+1}|) and f starts at 1e-30, so
+    # f stays below 1e250 unless prod_{m <= start} (1 + 2m/x_min) passes 1e280;
+    # with h = x_min/2 that product is h^-start Gamma(start + 1 + h) / Gamma(1 + h)
+    h = 0.5 * xmin
+    guard = math.lgamma(start + 1.0 + h) - math.lgamma(1.0 + h) - start * math.log(h) > math.log(1e280)
+    rows = np.empty((order + 1, x.size))
     two_over_x = 2.0 / x
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-30)
     fm = np.empty_like(x)
-    even = np.zeros_like(x)  # f_2 + f_4 + ...; J0 + 2 sum J_2m = 1 normalizes
+    even = np.zeros_like(x)  # f_2 + f_4 + ...
     for m in range(start, 0, -1):
         # f_{m-1} = (2m / x) f_m - f_{m+1}, in place
         np.multiply(two_over_x, m, out=fm)
         fm *= f
         fm -= fp
         fp, f, fm = f, fm, fp
+        if 2 <= m - 1 <= order:
+            rows[m - 1] = f
         if m % 2 and m > 1:
             even += f
-    norm = 2.0 * even + f
-    return f / norm, fp / norm
-
-
-def _miller_jn(order: int, x):
-    """J_0 .. J_order at each x >= 0 as the rows of an (order + 1, x.size)
-    array, by one backward recurrence with overflow rescaling."""
-    zero = x == 0.0
-    x = np.where(zero, 1.0, x)  # any positive stand-in; fixed up below
-    xmax = float(np.max(x)) if x.size else 0.0
-    top = max(order, int(xmax))
-    start = top + 44 + int(16.0 * (0.5 * max(xmax, 1.0)) ** (1.0 / 3.0)) + top // 4
-    start += start % 2
-    rows = np.empty((order + 1, x.size))
-    fp = np.zeros_like(x)
-    f = np.full_like(x, 1e-30)
-    fm = np.empty_like(x)
-    size = np.empty_like(x)
-    even = np.zeros_like(x)  # f_2 + f_4 + ...; J0 + 2 sum J_2m = 1 normalizes
-    for m in range(start, 0, -1):
-        # f_{m-1} = (2m / x) f_m - f_{m+1}, in place
-        np.divide(2.0 * m, x, out=fm)
-        fm *= f
-        fm -= fp
-        fp, f, fm = f, fm, fp
-        if m - 1 <= order:
-            rows[m - 1] = f
-        if (m - 1) % 2 == 0 and m - 1 >= 2:
-            even += f
-        if np.abs(f, out=size).max(initial=0.0) > 1e250:
-            scale = np.where(size > 1e250, 1e-250, 1.0)
+        if guard and np.abs(f).max() > 1e250:
+            scale = np.where(np.abs(f) > 1e250, 1e-250, 1.0)
             f *= scale
             fp *= scale
             even *= scale
-            rows[m - 1:] *= scale
-    rows /= 2.0 * even + f
-    rows[:, zero] = 0.0
-    rows[0, zero] = 1.0
+            rows[max(m - 1, 2):] *= scale
+    # rows 0 and 1 are the last f and fp
+    norm = 2.0 * even + f
+    rows[2:] /= norm
+    np.divide(f, norm, out=rows[0])
+    if order:
+        np.divide(fp, norm, out=rows[1])
     return rows
-
-
-def _series_jn(n: int, x):
-    # safe (no cancellation) for x <= 2 sqrt(n+1)
-    x2 = 0.25 * x * x
-    term = np.ones_like(x)
-    lead = (0.5 * x) ** n / float(math.factorial(n)) if n < 160 else np.exp(
-        n * np.log(0.5 * x) - math.lgamma(n + 1.0)
-    )
-    acc = np.ones_like(x)
-    for m in range(1, 40):
-        term = term * (-x2) / (m * (n + m))
-        acc = acc + term
-    return lead * acc
 
 
 # Points per pass of _bessel01: small enough that the temporaries of every
@@ -229,7 +212,7 @@ def _bessel01(nu: int, x: np.ndarray, with_y: bool = True) -> np.ndarray:
         # J on 8 < x <= 14 replaces whatever the bands above wrote there
         band = (v > 8.0) & (v <= 14.0)
         if np.any(band):
-            o_j[band] = _miller_j01(v[band])[nu]
+            o_j[band] = _miller_jn(1, v[band])[nu]
     return out
 
 
@@ -241,18 +224,10 @@ def _as_array(x, name="x"):
 
 
 def bessel_j(order: int, x):
-    """Bessel function of the first kind J_order(x).
+    """Bessel function of the first kind J_order(x), order >= 0, finite real x.
 
-    Parameters
-    ----------
-    order : nonnegative int
-    x : float or ndarray
-        Finite real argument(s).
-
-    Returns
-    -------
-    float or ndarray
-        Absolute error stays below 1e-12 on |x| <= 100.
+    Absolute error stays below 1e-12 on |x| <= 100.  Orders 0 and 1 come
+    from ``_bessel01``, higher orders from their row of one Miller sweep.
     """
     if order < 0 or order != int(order):
         raise ValueError("order must be a nonnegative integer")
@@ -264,15 +239,7 @@ def bessel_j(order: int, x):
     if order <= 1:
         out = _bessel01(order, ax, with_y=False)
     else:
-        out = np.empty_like(ax)
-        zero = ax == 0.0
-        ser = (~zero) & (ax <= 2.0 * np.sqrt(order + 1.0))
-        mil = (~zero) & ~ser
-        out[zero] = 0.0
-        if np.any(ser):
-            out[ser] = _series_jn(order, ax[ser])
-        if np.any(mil):
-            out[mil] = _miller_jn(order, ax[mil])[order]
+        out = _miller_jn(order, ax)[order]
     if order % 2 == 1:
         out[arr < 0] *= -1.0  # odd orders are odd functions
     return float(out[0]) if scalar else out
@@ -296,15 +263,18 @@ def bessel_y(order: int, x):
     order = int(order)
     scalar = np.ndim(x) == 0
     arr = _positive_array(x, "bessel_y")
-    if order <= 1:
-        out = _bessel01(order, arr).imag
-    else:
-        # upward recurrence is stable for Y
-        prev, cur = _bessel01(0, arr).imag, _bessel01(1, arr).imag
-        for m in range(1, order):
-            prev, cur = cur, (2.0 * m / arr) * cur - prev
-        out = cur
+    out = _bessel01(order, arr).imag if order <= 1 else _y_rows(order, arr)[order]
     return float(out[0]) if scalar else out
+
+
+def _y_rows(order: int, x):
+    """Y_0 .. Y_order (order >= 1) at each x > 0 as the rows of an
+    (order + 1, x.size) array, by upward recurrence (stable for Y)."""
+    rows = np.empty((order + 1, x.size))
+    rows[0], rows[1] = _bessel01(0, x).imag, _bessel01(1, x).imag
+    for m in range(1, order):
+        rows[m + 1] = (2.0 * m / x) * rows[m] - rows[m - 1]
+    return rows
 
 
 def hankel1(order: int, x):

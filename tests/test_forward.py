@@ -293,6 +293,23 @@ def test_disk_series_special_cases():
         disk_series_farfield(CTX, -0.1, 1.5, D1, dirs)
 
 
+@pytest.mark.parametrize("radius, nsq", [(0.3, 1.5), (0.4, 1.5), (1.0, 4.0), (0.05, 2.0)])
+def test_disk_series_against_scipy_partial_waves(radius, nsq):
+    special = pytest.importorskip("scipy.special")
+    k, m = CTX.k, np.arange(int(np.ceil(CTX.k * radius)) + 21)
+    ka, k1a = k * radius, k * np.sqrt(nsq) * radius
+    num = k * np.sqrt(nsq) * special.jvp(m, k1a) * special.jv(m, ka) - k * special.jvp(m, ka) * special.jv(m, k1a)
+    den = (k * special.h1vp(m, ka) * special.jv(m, k1a)
+           - k * np.sqrt(nsq) * special.jvp(m, k1a) * special.hankel1(m, ka))
+    coeffs = num / den
+    angles = 2.0 * np.pi * np.arange(64) / 64.0
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    phi = np.arccos(np.clip(dirs @ D1, -1.0, 1.0))
+    series = coeffs[0] + 2.0 * np.cos(np.outer(phi, m[1:])) @ coeffs[1:]
+    expected = np.sqrt(2.0 / (np.pi * k)) * np.exp(-1j * np.pi / 4.0) * series
+    np.testing.assert_allclose(disk_series_farfield(CTX, radius, nsq, D1, dirs), expected, rtol=1e-12)
+
+
 def test_solver_matches_disk_series():
     # collocation at pitch lambda/40 against the analytic partial-wave series
     disk = ShapeSpec(kind="disk", center=(0, 0), radius=0.3, nsq=1.5)

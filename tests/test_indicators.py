@@ -335,9 +335,13 @@ def test_grid_fallbacks_equal_the_dense_kernel():
     wide = SamplingGrid(xmin=-2.68, xmax=2.68, ymin=-2.68, ymax=2.68, h=0.67)
     assert not _takes_graf_path(CTX, data, wide)
     np.testing.assert_array_equal(_grid_correlation(CTX, data, wide), _dense(CTX, data, wide))
-    # dim 3
+    # imaging is two-dimensional: dim 3 is refused at entry for both kinds
     ctx3 = WaveContext(k=2.0 * np.pi, dim=3)
-    np.testing.assert_array_equal(_grid_correlation(ctx3, data, grid), _dense(ctx3, data, grid))
+    for samples in (data, _far_point_source([0.3, -0.2])):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            indicator_grid(ctx3, samples, grid)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            indicator_values(ctx3, samples, np.zeros(2))
 
 
 def test_grid_errors_as_with_the_dense_kernel():

@@ -304,6 +304,16 @@ def test_miller_rows_against_scipy():
     np.testing.assert_array_equal(_miller_jn(5, x)[5], bessel_j(5, x))
 
 
+def test_higher_orders_against_scipy():
+    # orders >= 2 take their row of one Miller sweep over every x, x = 0
+    # and the small arguments the ascending series used to serve included;
+    # the bound is the documented one
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([[0.0], np.logspace(-6, 2, 4000)])
+    for n in range(2, 81):
+        assert np.max(np.abs(bessel_j(n, x) - special.jv(n, x))) <= 1e-12, f"J{n}"
+
+
 def test_spherical_j0():
     assert spherical_j0(0.0) == 1.0
     assert abs(spherical_j0(math.pi)) < 1e-15
