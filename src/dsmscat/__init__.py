@@ -6,14 +6,6 @@ reproducible noise, and the normalized correlation indicators that
 image scatterer supports from a single incident wave or a few.
 """
 
-from .diagnostics import (
-    LemmaSweepReport,
-    RatioDiagnostics,
-    decay_curve,
-    lemma_sweep,
-    pointwise_ratio,
-    ratio_diagnostics,
-)
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -46,12 +38,13 @@ from .indicators import (
     superlevel_components,
 )
 from .kernels import (
+    LemmaSweepReport,
     WaveContext,
     farfield_correlation,
     green,
     green_farfield,
     lemma_constant,
-    scaled_im_green,
+    lemma_sweep,
 )
 from .measurement import (
     FieldSamples,
@@ -77,7 +70,6 @@ __all__ = [
     "InducedCurrent",
     "LemmaSweepReport",
     "NoiseSpec",
-    "RatioDiagnostics",
     "RingCauchyData",
     "SCENARIO_NAMES",
     "SamplingGrid",
@@ -89,7 +81,6 @@ __all__ = [
     "build",
     "combine_max",
     "contains",
-    "decay_curve",
     "discretize",
     "disk_series_farfield",
     "far_angles",
@@ -103,11 +94,8 @@ __all__ = [
     "near_circle_geometry",
     "near_to_far_simpson",
     "normal_complex_draws",
-    "pointwise_ratio",
-    "ratio_diagnostics",
     "ring_cauchy",
     "ring_quadrature_weights",
-    "scaled_im_green",
     "scattered_far",
     "scattered_near",
     "solve_lippmann_schwinger",

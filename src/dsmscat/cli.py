@@ -32,7 +32,6 @@ import tempfile
 
 import numpy as np
 
-from .diagnostics import lemma_sweep
 from .errors import ConfigError
 from .forward import (
     SHAPE_FIELDS,
@@ -43,8 +42,8 @@ from .forward import (
     scattered_near,
     solve_lippmann_schwinger,
 )
-from .indicators import SamplingGrid, combine_max, indicator_grid, superlevel_components
-from .kernels import WaveContext
+from .indicators import SamplingGrid, check_cutoff, combine_max, indicator_grid, superlevel_components
+from .kernels import WaveContext, lemma_sweep
 from .measurement import FieldSamples, NoiseSpec, add_noise, far_angles, near_circle_geometry
 from .scenarios import SCENARIO_NAMES, build
 
@@ -100,6 +99,14 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def _named(label: str, fn, *args):
+    """fn(*args); a ValueError it raises becomes a ConfigError led by label."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def _value(cfg: dict, key: str, parse=str, default=None):
     """The value of a key given at most once, read by parse; default if absent."""
     values = cfg.get(key)
@@ -107,10 +114,7 @@ def _value(cfg: dict, key: str, parse=str, default=None):
         return default
     if len(values) > 1:
         raise ConfigError(f"key {key!r} given more than once")
-    try:
-        return parse(values[0])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+    return _named(f"key {key!r}", parse, values[0])
 
 
 def _float_list(raw: str) -> list:
@@ -298,7 +302,9 @@ def cmd_synthesize(args) -> int:
     near_radius = _value(cfg, "near.radius", float, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
     near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
     far_count = _value(cfg, "far.count", int, _FAR_COUNT)
-    epsilons = _value(cfg, "noise.epsilon", _float_list, [0.0])
+    epsilons = _value(cfg, "noise.epsilon",
+                      lambda raw: [NoiseSpec(epsilon=e, seed=0).epsilon for e in _float_list(raw)],
+                      [0.0])
     seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
     os.makedirs(args.outdir, exist_ok=True)
     paths, _ = _write_samples(ctx, args.outdir, label, shapes, incidents, epsilons, seed,
@@ -377,6 +383,8 @@ def cmd_verify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     scenario = _scenario(args.example, args.variant)
+    _named("--epsilon", NoiseSpec, args.epsilon, args.seed)
+    _named("--cutoff", check_cutoff, args.cutoff)
     ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
     os.makedirs(args.outdir, exist_ok=True)

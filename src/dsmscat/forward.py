@@ -178,7 +178,9 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
         eta[m] = shapes[i].eta_value(ctx)
         hit |= m
     if not np.any(hit):
-        raise DiscretizationError("no cell center falls inside any shape")
+        raise DiscretizationError(
+            f"no cell center falls inside any shape: the cell pitch {h_fwd:.3g} "
+            f"(wavelength {ctx.wavelength:.3g}) exceeds the shapes")
     if np.all(eta[hit] == 0):
         raise DiscretizationError("all shapes have zero contrast (no scatterer)")
     centers = pts[hit]

@@ -313,10 +313,15 @@ class Component:
         return len(self.indices)
 
 
-def superlevel_components(grid: IndicatorGrid, cutoff: float):
-    """4-connected components of {value >= cutoff}, largest first."""
+def check_cutoff(cutoff: float) -> None:
+    """Raise ValueError unless the superlevel cutoff lies in (0, 1)."""
     if not 0.0 < cutoff < 1.0:
         raise ValueError("cutoff must lie strictly between 0 and 1")
+
+
+def superlevel_components(grid: IndicatorGrid, cutoff: float):
+    """4-connected components of {value >= cutoff}, largest first."""
+    check_cutoff(cutoff)
     mask = grid.values >= cutoff
     ny, nx = mask.shape
     labels = np.zeros((ny, nx), dtype=np.int32)

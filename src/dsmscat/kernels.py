@@ -17,7 +17,8 @@ Far-field patterns of G (u^s ~ e^{ik|x|}/|x|^{(N-1)/2} u_inf):
 
 The key identity: the L2(S^{N-1}) correlation of two far-field kernels
 equals C * Im G of the source separation, with C = 1/k in 2D and C = 1
-in 3D under the normalizations above.
+in 3D under the normalizations above.  lemma_sweep checks it on seeded
+random point pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _bessel01, spherical_j0
+from .special import _bessel01
 
 _DIRECTION_TOL = 1e-12
 
@@ -95,17 +96,6 @@ def green_farfield(ctx: WaveContext, xhat, y):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def scaled_im_green(ctx: WaveContext, xp, xj):
-    """C_N Im G as a function of separation: J0(kr) in 2D, sinc(kr) in 3D.
-
-    Equals 1 at coincidence in both dimensions.
-    """
-    r = _pairwise_distance(xp, xj)
-    kr = ctx.k * np.atleast_1d(r)
-    out = _bessel01(0, kr, with_y=False) if ctx.dim == 2 else spherical_j0(kr)
-    return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
-
-
 def _circle_directions(nquad: int) -> np.ndarray:
     th = 2.0 * np.pi * np.arange(nquad) / nquad
     return np.column_stack([np.cos(th), np.sin(th)])
@@ -152,3 +142,40 @@ def lemma_constant(ctx: WaveContext) -> float:
     (4 pi / (16 pi^2)) / (1/(4 pi)) = 1.
     """
     return 1.0 / ctx.k if ctx.dim == 2 else 1.0
+
+
+@dataclass(frozen=True)
+class LemmaSweepReport:
+    """Per-pair identity errors for one quadrature resolution."""
+
+    separations: np.ndarray
+    errors: np.ndarray
+    nquad: int
+
+    @property
+    def max_error(self) -> float:
+        return float(np.max(self.errors))
+
+
+def lemma_sweep(ctx: WaveContext, rmax: float, npairs: int, nquad: int,
+                seed: int = 0) -> LemmaSweepReport:
+    """Check correlation = C Im G on seeded random pairs with |xj-xp| <= rmax.
+
+    Under-resolved quadrature is reported, not raised: the caller reads
+    max_error and judges it against their tolerance.
+    """
+    if npairs < 1:
+        raise ValueError("npairs must be at least 1")
+    rng = np.random.default_rng(seed)
+    const = lemma_constant(ctx)
+    anchors = rng.uniform(-1.0, 1.0, size=(npairs, ctx.dim))
+    dirs = rng.normal(size=(npairs, ctx.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    seps = rng.uniform(1e-3 * rmax, rmax, size=npairs)
+    errors = np.empty(npairs)
+    for i in range(npairs):
+        xj = anchors[i]
+        xp = anchors[i] + seps[i] * dirs[i]
+        corr = farfield_correlation(ctx, xj, xp, nquad=nquad)
+        errors[i] = abs(corr - const * np.imag(green(ctx, xj, xp)))
+    return LemmaSweepReport(separations=seps, errors=errors, nquad=nquad)

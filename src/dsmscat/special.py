@@ -286,18 +286,3 @@ def hankel1(order: int, x):
     else:
         out = bessel_j(order, arr) + 1j * bessel_y(order, arr)
     return complex(out[0]) if scalar else out
-
-
-def spherical_j0(x):
-    """sin(x)/x with the removable singularity handled (value 1 at x = 0)."""
-    arr = _as_array(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = np.abs(arr) < 1e-4
-    xs = arr[small]
-    # two series terms leave a remainder below 1e-18 on this range
-    out[small] = 1.0 - xs * xs / 6.0 + xs ** 4 / 120.0
-    xl = arr[~small]
-    out[~small] = np.sin(xl) / xl
-    return float(out[0]) if scalar else out

@@ -270,6 +270,37 @@ def test_non_finite_scatterer_input_is_a_config_error(tmp_path, capsys):
         assert named in capsys.readouterr().err, text
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--cutoff", "1.5"], "--cutoff"),
+    (["--cutoff", "0"], "--cutoff"),
+    (["--epsilon", "2"], "--epsilon"),
+    (["--epsilon", "-0.1"], "--epsilon"),
+], ids=["cutoff-1.5", "cutoff-0", "epsilon-2", "epsilon-minus-0.1"])
+def test_reproduce_rejects_bad_flags_before_any_work(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["reproduce", "--example", "ex1", *flags, "--outdir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_synthesize_rejects_bad_noise_level_before_any_work(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\nnoise.epsilon = 0, 3\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["synthesize", "--config", cfg, "--outdir", str(out)]) == 2
+    assert "key 'noise.epsilon'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_tiny_wavenumber_names_the_cell_pitch(tmp_path, capsys):
+    # at k = 1e-300 the lambda/50 cell pitch dwarfs ex1's 0.02 square
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\nk = 1e-300\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cell pitch 1.26e+299 (wavelength 6.28e+300) exceeds the shapes" in err
+
+
 def test_reproduce_equals_synthesize_then_image(tmp_path):
     rep = tmp_path / "rep"
     assert main(["reproduce", "--example", "ex1", "--epsilon", "0.2", "--seed", "7",

@@ -17,8 +17,10 @@ from dsmscat.indicators import (
     indicator_values,
     superlevel_components,
 )
+from dsmscat.forward import discretize, scattered_far, solve_lippmann_schwinger
 from dsmscat.kernels import WaveContext, green, green_farfield
 from dsmscat.measurement import FieldSamples, far_angles, near_circle_geometry
+from dsmscat.scenarios import build
 from dsmscat.special import bessel_j
 
 CTX = WaveContext(k=2.0 * np.pi)
@@ -91,6 +93,24 @@ def test_far_indicator_follows_bessel_law():
             continue
         val = indicator_values(CTX, data, z + offset)
         assert abs(val - abs(bessel_j(0, CTX.k * r))) < 0.02
+
+
+def test_point_scatterer_images_as_bessel_modulus():
+    # a single cell at z_p scatters far data c G_inf(., z_p), so its image
+    # on the default grid is |J0(k |z - z_p|)| (the 50-direction aliasing
+    # term 2 J_50 stays below 1e-17 on the grid)
+    ex1 = build("ex1")
+    cells = discretize(CTX, ex1.shapes, CTX.wavelength / 50.0)
+    assert len(cells.centers) == 1
+    current = solve_lippmann_schwinger(CTX, cells, ex1.incidents[0])
+    dirs = far_angles(50)
+    data = FieldSamples(kind="far", locations=dirs, incident=ex1.incidents[0],
+                        values=scattered_far(CTX, cells, current, dirs))
+    grid = SamplingGrid()
+    image = indicator_grid(CTX, data, grid)
+    r = np.linalg.norm(grid.nodes() - cells.centers[0], axis=1)
+    expected = np.abs(bessel_j(0, CTX.k * r)).reshape(image.values.shape)
+    assert np.max(np.abs(image.values - expected)) <= 1e-12
 
 
 def test_near_indicator_collinear_data_and_domain():

@@ -9,7 +9,7 @@ from dsmscat.kernels import (
     green,
     green_farfield,
     lemma_constant,
-    scaled_im_green,
+    lemma_sweep,
 )
 from dsmscat.special import bessel_j
 
@@ -67,17 +67,6 @@ def test_farfield_kernel_direction_check():
         green_farfield(CTX2, np.array([1.0, 1.0]), np.zeros(2))
 
 
-def test_scaled_im_green():
-    p = np.array([0.7, -0.1])
-    assert scaled_im_green(CTX2, p, p) == 1.0
-    z2 = 2.404825557695773 / (2.0 * np.pi)
-    assert abs(scaled_im_green(CTX2, np.zeros(2), np.array([z2, 0.0]))) < 1e-9
-    q = np.array([0.1, 0.2, 0.3])
-    assert scaled_im_green(CTX3, q, q) == 1.0
-    assert abs(scaled_im_green(CTX3, np.zeros(3), np.array([0.5, 0.0, 0.0]))) < 1e-15
-    assert np.all(np.abs(scaled_im_green(CTX2, np.zeros(2), np.random.default_rng(0).uniform(-3, 3, (50, 2)))) <= 1.0)
-
-
 def test_correlation_coincidence_2d():
     x = np.array([0.4, 0.9])
     val = farfield_correlation(CTX2, x, x, nquad=256)
@@ -132,3 +121,35 @@ def test_correlation_identity_sample():
             corr = farfield_correlation(ctx, xj, xp, nquad=nquad)
             ref = lemma_constant(ctx) * green(ctx, xp, xj).imag
             assert abs(corr - ref) < 1e-8
+
+
+def test_lemma_sweep_resolved_2d():
+    report = lemma_sweep(CTX2, rmax=4.0, npairs=50, nquad=512, seed=1)
+    assert report.max_error <= 1e-8
+    assert len(report.errors) == 50
+    assert np.all(report.separations <= 4.0)
+
+
+def test_lemma_sweep_resolved_3d():
+    report = lemma_sweep(CTX3, rmax=2.0, npairs=30, nquad=64, seed=2)
+    assert report.max_error <= 1e-8
+
+
+def test_lemma_sweep_underresolved_reports_not_raises():
+    report = lemma_sweep(CTX2, rmax=4.0, npairs=30, nquad=16, seed=3)
+    assert report.max_error > 1e-3
+
+
+def test_lemma_sweep_error_drops_as_nquad_doubles():
+    errs = [lemma_sweep(CTX2, rmax=4.0, npairs=20, nquad=n, seed=4).max_error
+            for n in (64, 128, 256, 512)]
+    for a, b in zip(errs, errs[1:]):
+        assert b <= a or (a < 1e-13 and b < 1e-13)
+
+
+def test_lemma_sweep_seeded_and_validated():
+    a = lemma_sweep(CTX2, rmax=4.0, npairs=10, nquad=64, seed=5)
+    b = lemma_sweep(CTX2, rmax=4.0, npairs=10, nquad=64, seed=5)
+    np.testing.assert_array_equal(a.errors, b.errors)
+    with pytest.raises(ValueError):
+        lemma_sweep(CTX2, rmax=4.0, npairs=0, nquad=64)

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency.
+"""numpy is the package's only runtime dependency, and the public
+names resolve.
 
 scipy and hypothesis serve the tests as oracles; this check keeps them,
 and anything else outside the standard library, out of ``src/dsmscat``.
@@ -30,3 +31,12 @@ def test_only_stdlib_and_numpy_at_runtime(path):
 
 def test_sources_found():
     assert any(path.name == "special.py" for path in SOURCES)
+
+
+def test_exports_resolve_sorted_and_unique():
+    import dsmscat
+
+    for name in dsmscat.__all__:
+        assert hasattr(dsmscat, name), name
+    assert len(set(dsmscat.__all__)) == len(dsmscat.__all__)
+    assert sorted(dsmscat.__all__) == dsmscat.__all__

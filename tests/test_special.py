@@ -15,7 +15,6 @@ from dsmscat.special import (
     bessel_j,
     bessel_y,
     hankel1,
-    spherical_j0,
 )
 
 # (x, value) pairs, mpmath besselj/bessely at 30 digits
@@ -312,14 +311,6 @@ def test_higher_orders_against_scipy():
     x = np.concatenate([[0.0], np.logspace(-6, 2, 4000)])
     for n in range(2, 81):
         assert np.max(np.abs(bessel_j(n, x) - special.jv(n, x))) <= 1e-12, f"J{n}"
-
-
-def test_spherical_j0():
-    assert spherical_j0(0.0) == 1.0
-    assert abs(spherical_j0(math.pi)) < 1e-15
-    assert abs(spherical_j0(1e-5) - (1.0 - 1e-10 / 6.0)) < 1e-18
-    for x, ref in [(0.3, 0.98506735553779858), (12.0, -0.044714409833369581)]:
-        assert abs(spherical_j0(x) - ref) < 1e-14
 
 
 def test_array_and_scalar_forms():
