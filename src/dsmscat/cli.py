@@ -253,17 +253,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
 
 
-def _write_samples(ctx, outdir, label, shapes, incidents, epsilons, seed,
-                   near_radius, near_count, far_count):
+def _write_samples(ctx, outdir, label, shapes, incidents, epsilons, seed, near_pts, far_dirs):
     """Solve the forward problem per incident and write one sample file per
-    (incident, kind, epsilon).
+    (incident, kind, epsilon), sampling at near_pts and in far_dirs.
 
     Returns the paths in write order and {(kind, epsilon): [FieldSamples per
     incident]}.
     """
     cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
-    near_pts = near_circle_geometry(ctx, near_radius, near_count)
-    far_dirs = far_angles(far_count)
     paths, data = [], {}
     for index, direction in enumerate(incidents):
         current = solve_lippmann_schwinger(ctx, cells, direction)
@@ -300,15 +297,17 @@ def cmd_synthesize(args) -> int:
     label, shapes, preset_incidents = _resolve_scatterer(cfg)
     incidents = _resolve_incidents(cfg, preset_incidents)
     near_radius = _value(cfg, "near.radius", float, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
-    near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
-    far_count = _value(cfg, "far.count", int, _FAR_COUNT)
+    _named("key 'near.radius'", near_circle_geometry, ctx, near_radius, 1)  # the radius rule alone
+    near_pts = _named("key 'near.count'", near_circle_geometry, ctx, near_radius,
+                      _value(cfg, "near.count", int, _NEAR_COUNT))
+    far_dirs = _named("key 'far.count'", far_angles, _value(cfg, "far.count", int, _FAR_COUNT))
     epsilons = _value(cfg, "noise.epsilon",
                       lambda raw: [NoiseSpec(epsilon=e, seed=0).epsilon for e in _float_list(raw)],
                       [0.0])
     seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
     os.makedirs(args.outdir, exist_ok=True)
     paths, _ = _write_samples(ctx, args.outdir, label, shapes, incidents, epsilons, seed,
-                              near_radius, near_count, far_count)
+                              near_pts, far_dirs)
     print("\n".join(paths))
     return 0
 
@@ -388,9 +387,9 @@ def cmd_reproduce(args) -> int:
     ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
     os.makedirs(args.outdir, exist_ok=True)
+    near_pts = near_circle_geometry(ctx, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength, _NEAR_COUNT)
     _, data = _write_samples(ctx, args.outdir, scenario.name, scenario.shapes, scenario.incidents,
-                             epsilons, args.seed, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength,
-                             _NEAR_COUNT, _FAR_COUNT)
+                             epsilons, args.seed, near_pts, far_angles(_FAR_COUNT))
     report = [
         f"scenario={scenario.name} variant={args.variant or 'none'} "
         f"epsilon={args.epsilon:g} seed={args.seed} cutoff={args.cutoff:g}"

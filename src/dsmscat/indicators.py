@@ -302,7 +302,7 @@ def combine_max(grids) -> IndicatorGrid:
 class Component:
     """One 4-connected superlevel component."""
 
-    indices: np.ndarray  # (m, 2) int rows of (iy, ix)
+    indices: np.ndarray  # (m, 2) int rows of (iy, ix), row-major
     points: np.ndarray  # (m, 2) node coordinates
     centroid: np.ndarray  # (2,)
     lo: np.ndarray  # bounding box min corner (x, y)
@@ -320,48 +320,36 @@ def check_cutoff(cutoff: float) -> None:
 
 
 def superlevel_components(grid: IndicatorGrid, cutoff: float):
-    """4-connected components of {value >= cutoff}, largest first."""
+    """4-connected components of {value >= cutoff}, largest first, ties in
+    the row-major order of their first nodes.
+
+    Hook-and-jump connectivity (Shiloach and Vishkin, J. Algorithms 3
+    (1982) 57) on the edges between 4-neighbour nodes of the mask, numbered
+    row-major: each round hooks the larger root of every edge under the
+    smaller one and then points every node at its root's root, until both
+    ends of every edge share a root, which is then the first node of their
+    component.  A component's indices and points come in row-major order.
+    """
     check_cutoff(cutoff)
     mask = grid.values >= cutoff
-    ny, nx = mask.shape
-    labels = np.zeros((ny, nx), dtype=np.int32)
-    xs, ys = grid.grid.xs, grid.grid.ys
-    components = []
-    for iy in range(ny):
-        row = mask[iy]
-        if not row.any():
-            continue
-        for ix in np.flatnonzero(row & (labels[iy] == 0)):
-            if labels[iy, ix]:  # labeled by an earlier seed in this row
-                continue
-            stack = [(iy, int(ix))]
-            labels[iy, ix] = 1
-            cells = []
-            while stack:
-                cy, cx = stack.pop()
-                cells.append((cy, cx))
-                if cy > 0 and mask[cy - 1, cx] and not labels[cy - 1, cx]:
-                    labels[cy - 1, cx] = 1
-                    stack.append((cy - 1, cx))
-                if cy + 1 < ny and mask[cy + 1, cx] and not labels[cy + 1, cx]:
-                    labels[cy + 1, cx] = 1
-                    stack.append((cy + 1, cx))
-                if cx > 0 and mask[cy, cx - 1] and not labels[cy, cx - 1]:
-                    labels[cy, cx - 1] = 1
-                    stack.append((cy, cx - 1))
-                if cx + 1 < nx and mask[cy, cx + 1] and not labels[cy, cx + 1]:
-                    labels[cy, cx + 1] = 1
-                    stack.append((cy, cx + 1))
-            idx = np.array(cells, dtype=np.int64)
-            pts = np.column_stack([xs[idx[:, 1]], ys[idx[:, 0]]])
-            components.append(
-                Component(
-                    indices=idx,
-                    points=pts,
-                    centroid=pts.mean(axis=0),
-                    lo=pts.min(axis=0),
-                    hi=pts.max(axis=0),
-                )
-            )
-    components.sort(key=lambda c: c.size, reverse=True)
-    return components
+    iy, ix = np.nonzero(mask)
+    number = np.zeros(mask.shape, dtype=np.intp)
+    number[mask] = np.arange(iy.size)
+    right, down = mask[:, :-1] & mask[:, 1:], mask[:-1] & mask[1:]
+    a = np.concatenate([number[:, :-1][right], number[:-1][down]])
+    b = np.concatenate([number[:, 1:][right], number[1:][down]])
+    root = np.arange(iy.size)
+    while True:
+        root_a, root_b = root[a], root[b]
+        if np.array_equal(root_a, root_b):
+            break
+        np.minimum.at(root, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        root = root[root]
+    sizes = np.unique(root, return_counts=True)[1]
+    by_root = np.argsort(root, kind="stable")
+    cuts = np.cumsum(sizes)[:-1]
+    indices = np.split(np.column_stack([iy, ix])[by_root], cuts)
+    points = np.split(np.column_stack([grid.grid.xs[ix], grid.grid.ys[iy]])[by_root], cuts)
+    return [Component(indices=indices[c], points=points[c], centroid=points[c].mean(axis=0),
+                      lo=points[c].min(axis=0), hi=points[c].max(axis=0))
+            for c in np.argsort(-sizes, kind="stable")]

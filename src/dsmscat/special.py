@@ -6,7 +6,7 @@ Complex field values are plain Python/numpy ``complex`` numbers; modulus
 and argument come from ``abs`` and ``numpy.angle``.
 
 Orders 0 and 1, the hot path for kernel sweeps, share one evaluator,
-``_bessel01``, which returns J + iY (or J alone) band by band:
+``_bessel01``, which returns J + iY band by band:
 
 * one ascending power-series loop gives J and Y together from the same
   terms; it serves J for x <= 8 and Y for x <= 12,
@@ -90,7 +90,7 @@ def _series_tables(nu: int):
 _SERIES = (_series_tables(0), _series_tables(1))
 
 
-def _series01(nu: int, x: np.ndarray, with_y: bool):
+def _series01(nu: int, x: np.ndarray):
     """J_nu and Y_nu (nu = 0, 1) from one ascending series loop.
 
     With t_m = (-x^2/4)^m / (m! (m+nu)!) and H_m the harmonic number
@@ -99,24 +99,19 @@ def _series01(nu: int, x: np.ndarray, with_y: bool):
         J_nu = (x/2)^nu sum t_m
         Y_nu = (2/pi)(ln(x/2) + gamma) J_nu - (x/2)^nu / pi sum (H_m + H_{m+nu}) t_m
                - nu 2/(pi x)
-
-    Y is None when with_y is false, which admits x = 0.
     """
     divisors, weights = _SERIES[nu]
     nx2 = -0.25 * x * x
     term = np.ones_like(x)
     sum_j = np.ones_like(x)
-    sum_y = np.full_like(x, weights[0]) if with_y else None
+    sum_y = np.full_like(x, weights[0])
     for m in range(1, _SERIES_TERMS):
         term *= nx2
         term /= divisors[m]
         sum_j += term
-        if with_y:
-            sum_y += weights[m] * term
+        sum_y += weights[m] * term
     lead = 0.5 * x if nu else 1.0
     j = lead * sum_j
-    if not with_y:
-        return j, None
     y = (2.0 / np.pi) * (np.log(0.5 * x) + _EULER_GAMMA) * j - (lead / np.pi) * sum_y
     if nu:
         y -= 2.0 / (np.pi * x)
@@ -185,34 +180,23 @@ def _miller_jn(order: int, x):
 _BLOCK = 16384
 
 
-def _bessel01(nu: int, x: np.ndarray, with_y: bool = True) -> np.ndarray:
-    """J_nu(x) + i Y_nu(x) for nu = 0, 1 and x > 0, band by band.
-
-    With with_y false the result is the real array J_nu(x) alone, and
-    x = 0 is admitted; callers pass |x| and apply the parity themselves.
-    """
-    out = np.empty(x.shape, dtype=complex if with_y else float)
+def _bessel01(nu: int, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) + i Y_nu(x) for nu = 0, 1 and x > 0, band by band."""
+    out = np.empty(x.shape, dtype=complex)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     for start in range(0, flat_x.size, _BLOCK):
         v = flat_x[start:start + _BLOCK]
         o = flat_out[start:start + _BLOCK]
-        o_j = o.real if with_y else o
-        band = v <= (12.0 if with_y else 8.0)
+        band = v <= 12.0
         if np.any(band):
-            j, y = _series01(nu, v[band], with_y)
-            o_j[band] = j
-            if with_y:
-                o.imag[band] = y
-        band = v > (12.0 if with_y else 14.0)
+            o.real[band], o.imag[band] = _series01(nu, v[band])
+        band = v > 12.0
         if np.any(band):
-            j, y = _asymptotic01(nu, v[band])
-            o_j[band] = j
-            if with_y:
-                o.imag[band] = y
+            o.real[band], o.imag[band] = _asymptotic01(nu, v[band])
         # J on 8 < x <= 14 replaces whatever the bands above wrote there
         band = (v > 8.0) & (v <= 14.0)
         if np.any(band):
-            o_j[band] = _miller_jn(1, v[band])[nu]
+            o.real[band] = _miller_jn(1, v[band])[nu]
     return out
 
 
@@ -237,7 +221,8 @@ def bessel_j(order: int, x):
     arr = np.atleast_1d(arr)
     ax = np.abs(arr)
     if order <= 1:
-        out = _bessel01(order, ax, with_y=False)
+        zero = ax == 0.0  # J0(0) = 1 and J1(0) = 0, where Y is singular
+        out = np.where(zero, 1.0 - order, _bessel01(order, np.where(zero, 1.0, ax)).real)
     else:
         out = _miller_jn(order, ax)[order]
     if order % 2 == 1:

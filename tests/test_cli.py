@@ -293,6 +293,20 @@ def test_synthesize_rejects_bad_noise_level_before_any_work(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("line, named", [
+    ("near.count = 0", "key 'near.count'"),
+    ("far.count = 0", "key 'far.count'"),
+    ("near.radius = 0", "key 'near.radius'"),
+    ("near.radius = -1", "key 'near.radius'"),
+], ids=["near-count-0", "far-count-0", "near-radius-0", "near-radius-minus-1"])
+def test_synthesize_names_bad_receiver_keys_before_any_work(tmp_path, capsys, line, named):
+    cfg = _write(tmp_path / "cfg.txt", f"scenario = ex1\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", cfg, "--outdir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tiny_wavenumber_names_the_cell_pitch(tmp_path, capsys):
     # at k = 1e-300 the lambda/50 cell pitch dwarfs ex1's 0.02 square
     cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\nk = 1e-300\n")

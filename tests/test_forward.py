@@ -26,6 +26,8 @@ from dsmscat.forward import (
     solve_lippmann_schwinger,
 )
 from dsmscat.kernels import WaveContext, green, green_farfield
+from dsmscat.measurement import far_angles
+from dsmscat.scenarios import build
 from dsmscat.special import hankel1
 
 CTX = WaveContext(k=2.0 * np.pi)
@@ -382,3 +384,49 @@ def test_near_to_far_rejects_wrong_node_count():
     )
     with pytest.raises(ValueError):
         near_to_far_simpson(CTX, bad, np.array([1.0, 0.0]))
+
+
+# Exact identities of the scattering problem on the presets at the protocol
+# pitch lambda/50 (Colton and Kress, Inverse Acoustic and Electromagnetic
+# Scattering Theory, 3rd ed. 2013, ch. 3).
+
+def _preset_cells(name, variant=None):
+    scenario = build(name, variant=variant)
+    cells = discretize(CTX, scenario.shapes, CTX.wavelength / 50.0)
+    return cells, np.asarray(scenario.incidents[0], dtype=float)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7"])
+def test_far_field_reciprocity_on_presets(name):
+    # u_inf(-d2; d1) = u_inf(-d1; d2)
+    cells, d1 = _preset_cells(name)
+    d2 = np.array([np.cos(2.0), np.sin(2.0)])
+    u12 = scattered_far(CTX, cells, solve_lippmann_schwinger(CTX, cells, d1), -d2)
+    u21 = scattered_far(CTX, cells, solve_lippmann_schwinger(CTX, cells, d2), -d1)
+    assert abs(u12 - u21) <= 1e-12 * abs(u12)
+
+
+def _extinction_and_scattering(name, variant=None, count=256):
+    """sqrt(8 pi / k) Im(e^{-i pi/4} u_inf(d; d)) and the trapezoid sum of
+    |u_inf|^2 over count directions; they are equal for a lossless medium."""
+    cells, d = _preset_cells(name, variant)
+    current = solve_lippmann_schwinger(CTX, cells, d)
+    forward = scattered_far(CTX, cells, current, d)
+    extinction = np.sqrt(8.0 * np.pi / CTX.k) * (np.exp(-0.25j * np.pi) * forward).imag
+    far = scattered_far(CTX, cells, current, far_angles(count))
+    return extinction, 2.0 * np.pi / count * np.sum(np.abs(far) ** 2)
+
+
+@pytest.mark.parametrize("name, variant", [
+    ("ex2", None), ("ex3", None), ("ex3", "close"),
+    ("ex4", None), ("ex6", None), ("ex7", None),
+])
+def test_optical_theorem_on_lossless_presets(name, variant):
+    extinction, scattering = _extinction_and_scattering(name, variant)
+    assert abs(extinction - scattering) <= 1e-4 * scattering
+
+
+@pytest.mark.parametrize("variant", [None, "high-contrast"])
+def test_absorbing_presets_extinguish_more_than_they_scatter(variant):
+    extinction, scattering = _extinction_and_scattering("ex5", variant)
+    assert extinction > scattering

@@ -6,12 +6,14 @@ import pytest
 from dsmscat import indicators
 from dsmscat.errors import DegenerateDataError, EvaluationPointError
 from dsmscat.indicators import (
+    Component,
     IndicatorGrid,
     SamplingGrid,
     _correlation,
     _graf_hankel,
     _grid_correlation,
     _kernel,
+    check_cutoff,
     combine_max,
     indicator_grid,
     indicator_values,
@@ -241,6 +243,98 @@ def test_superlevel_cutoff_validation_and_empty_result():
         superlevel_components(g, 0.0)
     with pytest.raises(ValueError):
         superlevel_components(g, 1.0)
+
+
+# superlevel_components against the stack flood fill it replaced, kept here
+# verbatim as the reference labeling.
+
+def _flood_fill_components(grid: IndicatorGrid, cutoff: float):
+    """4-connected components of {value >= cutoff}, largest first."""
+    check_cutoff(cutoff)
+    mask = grid.values >= cutoff
+    ny, nx = mask.shape
+    labels = np.zeros((ny, nx), dtype=np.int32)
+    xs, ys = grid.grid.xs, grid.grid.ys
+    components = []
+    for iy in range(ny):
+        row = mask[iy]
+        if not row.any():
+            continue
+        for ix in np.flatnonzero(row & (labels[iy] == 0)):
+            if labels[iy, ix]:  # labeled by an earlier seed in this row
+                continue
+            stack = [(iy, int(ix))]
+            labels[iy, ix] = 1
+            cells = []
+            while stack:
+                cy, cx = stack.pop()
+                cells.append((cy, cx))
+                if cy > 0 and mask[cy - 1, cx] and not labels[cy - 1, cx]:
+                    labels[cy - 1, cx] = 1
+                    stack.append((cy - 1, cx))
+                if cy + 1 < ny and mask[cy + 1, cx] and not labels[cy + 1, cx]:
+                    labels[cy + 1, cx] = 1
+                    stack.append((cy + 1, cx))
+                if cx > 0 and mask[cy, cx - 1] and not labels[cy, cx - 1]:
+                    labels[cy, cx - 1] = 1
+                    stack.append((cy, cx - 1))
+                if cx + 1 < nx and mask[cy, cx + 1] and not labels[cy, cx + 1]:
+                    labels[cy, cx + 1] = 1
+                    stack.append((cy, cx + 1))
+            idx = np.array(cells, dtype=np.int64)
+            pts = np.column_stack([xs[idx[:, 1]], ys[idx[:, 0]]])
+            components.append(
+                Component(
+                    indices=idx,
+                    points=pts,
+                    centroid=pts.mean(axis=0),
+                    lo=pts.min(axis=0),
+                    hi=pts.max(axis=0),
+                )
+            )
+    components.sort(key=lambda c: c.size, reverse=True)
+    return components
+
+
+def _mask_grid(mask):
+    """The 0/1 mask as indicator values on a pitch-0.01 grid from (-2, -2),
+    so the coordinates carry round-off as the imaging grids do."""
+    ny, nx = mask.shape
+    h = 0.01
+    g = SamplingGrid(xmin=-2.0, xmax=-2.0 + h * (nx - 0.5), ymin=-2.0, ymax=-2.0 + h * (ny - 0.5), h=h)
+    return IndicatorGrid(grid=g, values=np.asarray(mask, dtype=float))
+
+
+def _assert_same_labeling(mask):
+    grid = _mask_grid(mask)
+    got, want = superlevel_components(grid, 0.5), _flood_fill_components(grid, 0.5)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.size == w.size
+        assert set(map(tuple, g.indices.tolist())) == set(map(tuple, w.indices.tolist()))
+        assert g.lo.tobytes() == w.lo.tobytes() and g.hi.tobytes() == w.hi.tobytes()
+        assert np.max(np.abs(g.centroid - w.centroid)) <= 1e-12
+
+
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.6, 0.8])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 37), (29, 1), (41, 63)])
+def test_superlevel_components_match_flood_fill_on_random_masks(density, shape):
+    rng = np.random.default_rng([int(100 * density), *shape])
+    for _ in range(3):
+        _assert_same_labeling(rng.random(shape) < density)
+
+
+def test_superlevel_components_match_flood_fill_on_structured_masks():
+    _assert_same_labeling(np.zeros((17, 23), dtype=bool))
+    _assert_same_labeling(np.ones((17, 23), dtype=bool))
+    serpentine = np.zeros((31, 27), dtype=bool)
+    serpentine[::2] = True
+    serpentine[1::4, -1] = True
+    serpentine[3::4, 0] = True
+    _assert_same_labeling(serpentine)
+    checkerboard = np.indices((24, 19)).sum(axis=0) % 2 == 0
+    _assert_same_labeling(checkerboard)
+    assert len(superlevel_components(_mask_grid(checkerboard), 0.5)) == checkerboard.sum()
 
 
 def test_argmax_tie_breaks_row_major():
