@@ -140,13 +140,6 @@ def _parse_shape(line: str) -> ShapeSpec:
         raise ConfigError(f"bad shape line: {line!r} ({exc})") from exc
 
 
-def _scenario(name: str, variant):
-    try:
-        return build(name, variant=variant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _resolve_scatterer(cfg: dict):
     """(label, shapes, preset incidents or None) from scenario or shape lines."""
     scenario_name = _value(cfg, "scenario")
@@ -155,7 +148,7 @@ def _resolve_scatterer(cfg: dict):
     if scenario_name is not None and shape_lines:
         raise ConfigError("give either a scenario or explicit shapes, not both")
     if scenario_name is not None:
-        scenario = _scenario(scenario_name, variant)
+        scenario = build(scenario_name, variant)
         return scenario.name, scenario.shapes, scenario.incidents
     if not shape_lines:
         raise ConfigError("config needs a scenario id or at least one shape line")
@@ -381,7 +374,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    scenario = _scenario(args.example, args.variant)
+    scenario = build(args.example, args.variant)
     _named("--epsilon", NoiseSpec, args.epsilon, args.seed)
     _named("--cutoff", check_cutoff, args.cutoff)
     ctx = WaveContext(k=_K)

@@ -14,7 +14,7 @@ counts (a few hundred to a few thousand cells).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -366,6 +366,8 @@ def near_to_far_simpson(ctx: WaveContext, ring: RingCauchyData, directions):
     """
     if len(ring.values) != 51 or len(ring.points) != 51:
         raise ValueError("the ring rule is defined for exactly 51 nodes")
+    if ring.radius != 5.0:
+        raise ValueError(f"the ring rule is defined for radius 5 only, got radius {ring.radius:g}")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     dirs = _check_direction(dirs, 2)
     nu = ring.points / ring.radius

@@ -27,8 +27,6 @@ __all__ = ["Scenario", "build", "contains", "SCENARIO_NAMES"]
 _D1 = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 _D2 = (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0))
 
-SCENARIO_NAMES = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6", "ex7")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -55,65 +53,47 @@ class Scenario:
         return bool(hit[0]) if np.asarray(x).ndim == 1 else hit
 
 
-def _square(center, side, **mat):
+def _square(center, side=0.3, **mat):
     return ShapeSpec(kind="square", center=center, side=side, **mat)
 
 
-_VARIANTS = {
-    "ex1": (),
-    "ex2": (),
-    "ex3": ("close",),
-    "ex4": (),
-    "ex5": ("high-contrast",),
-    "ex6": (),
-    "ex7": ("two-incident",),
+def _bar(center, angle=0.0):
+    return ShapeSpec(kind="bar", center=center, length=1.0, thickness=0.1, angle=angle, eta=1.0)
+
+
+def _lit(centers):
+    """A row: 0.3-side eta = 1 squares at centers, lit from _D1, the centers as truth."""
+    return tuple(_square(c, eta=1.0) for c in centers), (_D1,), centers
+
+
+_PENETRABLE, _, _PAIR = _lit(((-0.8, -0.7), (0.3, 0.8)))  # ex2; ex5 reuses the pair
+_ABSORBER = _square(_PAIR[0], nsq=1.0 + 50.0j)  # ex5's obstacle
+# ex7: L-shaped crack, arms along +x and +y from the corner at the origin
+_L_CRACK = (_bar((0.5, 0.0)), _bar((0.0, 0.5), angle=np.pi / 2.0))
+_L_CENTERS = ((0.5, 0.0), (0.0, 0.5))
+
+# every preset: (name, variant or None) -> (shapes, incidents, truth centers)
+_PRESETS = {
+    ("ex1", None): ((_square((0.0, 0.0), 0.02, eta=1.0),), (_D1,), ((0.0, 0.0),)),
+    ("ex2", None): (_PENETRABLE, (_D1,), _PAIR),
+    ("ex3", None): _lit(((-0.25, 0.0), (0.25, 0.0))),
+    ("ex3", "close"): _lit(((-0.1, 0.0), (0.1, 0.0))),
+    ("ex4", None): ((ShapeSpec(kind="ring", center=(0.0, 0.0), outer_side=0.6,
+                               inner_side=0.4, eta=1.0),), (_D1, _D2), ((0.0, 0.0),)),
+    ("ex5", None): ((_ABSORBER, _PENETRABLE[1]), (_D1,), _PAIR),
+    ("ex5", "high-contrast"): ((_ABSORBER, _square(_PAIR[1], nsq=10.0 + 10.0j)), (_D1,), _PAIR),
+    ("ex6", None): ((_bar((0.0, 0.0)),), ((1.0, 0.0),), ((0.0, 0.0),)),
+    ("ex7", None): (_L_CRACK, (_D2,), _L_CENTERS),
+    ("ex7", "two-incident"): (_L_CRACK, (_D1, _D2), _L_CENTERS),
 }
+
+SCENARIO_NAMES = tuple(dict.fromkeys(name for name, _ in _PRESETS))
 
 
 def build(name: str, variant: str | None = None) -> Scenario:
     """Construct a preset scenario by id, optionally in a named variant."""
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    if variant is not None and variant not in _VARIANTS[name]:
+    if (name, variant) not in _PRESETS:
         raise ValueError(f"scenario {name} has no variant {variant!r}")
-
-    if name == "ex1":
-        shapes = (_square((0.0, 0.0), 0.02, eta=1.0),)
-        return Scenario(name, shapes, [_D1], truth_centers=((0.0, 0.0),))
-
-    if name == "ex2":
-        centers = ((-0.8, -0.7), (0.3, 0.8))
-        shapes = tuple(_square(c, 0.3, eta=1.0) for c in centers)
-        return Scenario(name, shapes, [_D1], truth_centers=centers)
-
-    if name == "ex3":
-        centers = ((-0.1, 0.0), (0.1, 0.0)) if variant == "close" else ((-0.25, 0.0), (0.25, 0.0))
-        shapes = tuple(_square(c, 0.3, eta=1.0) for c in centers)
-        return Scenario(name, shapes, [_D1], truth_centers=centers)
-
-    if name == "ex4":
-        shapes = (ShapeSpec(kind="ring", center=(0.0, 0.0), outer_side=0.6,
-                            inner_side=0.4, eta=1.0),)
-        return Scenario(name, shapes, [_D1, _D2], truth_centers=((0.0, 0.0),))
-
-    if name == "ex5":
-        medium_mat = {"nsq": 10.0 + 10.0j} if variant == "high-contrast" else {"eta": 1.0}
-        shapes = (
-            _square((-0.8, -0.7), 0.3, nsq=1.0 + 50.0j),  # absorbing obstacle
-            _square((0.3, 0.8), 0.3, **medium_mat),
-        )
-        return Scenario(name, shapes, [_D1], truth_centers=((-0.8, -0.7), (0.3, 0.8)))
-
-    if name == "ex6":
-        shapes = (ShapeSpec(kind="bar", center=(0.0, 0.0), length=1.0,
-                            thickness=0.1, eta=1.0),)
-        return Scenario(name, shapes, [(1.0, 0.0)], truth_centers=((0.0, 0.0),))
-
-    # ex7: L-shaped crack, arms along +x and +y from the corner at the origin
-    shapes = (
-        ShapeSpec(kind="bar", center=(0.5, 0.0), length=1.0, thickness=0.1, eta=1.0),
-        ShapeSpec(kind="bar", center=(0.0, 0.5), length=1.0, thickness=0.1,
-                  angle=np.pi / 2.0, eta=1.0),
-    )
-    incidents = [_D1, _D2] if variant == "two-incident" else [_D2]
-    return Scenario(name, shapes, incidents, truth_centers=((0.5, 0.0), (0.0, 0.5)))
+    return Scenario(name, *_PRESETS[name, variant])

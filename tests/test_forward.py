@@ -386,6 +386,14 @@ def test_near_to_far_rejects_wrong_node_count():
         near_to_far_simpson(CTX, bad, np.array([1.0, 0.0]))
 
 
+def test_near_to_far_rejects_other_radii():
+    # the weights are Simpson's h/3 on the radius-5 circle only
+    grid, current = _unit_current([[0.0, 0.0]])
+    ring = ring_cauchy(CTX, grid, current, radius=3.0, count=51)
+    with pytest.raises(ValueError, match="radius 3"):
+        near_to_far_simpson(CTX, ring, np.array([1.0, 0.0]))
+
+
 # Exact identities of the scattering problem on the presets at the protocol
 # pitch lambda/50 (Colton and Kress, Inverse Acoustic and Electromagnetic
 # Scattering Theory, 3rd ed. 2013, ch. 3).

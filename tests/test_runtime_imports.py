@@ -40,3 +40,22 @@ def test_exports_resolve_sorted_and_unique():
         assert hasattr(dsmscat, name), name
     assert len(set(dsmscat.__all__)) == len(dsmscat.__all__)
     assert sorted(dsmscat.__all__) == dsmscat.__all__
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads, as a name or an attribute base."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read - {"annotations"})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name} imports {unused} and never uses them"
