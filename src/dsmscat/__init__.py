@@ -40,6 +40,7 @@ from .indicators import (
 from .kernels import (
     LemmaSweepReport,
     WaveContext,
+    far_angles,
     farfield_correlation,
     green,
     green_farfield,
@@ -50,7 +51,6 @@ from .measurement import (
     FieldSamples,
     NoiseSpec,
     add_noise,
-    far_angles,
     near_circle_geometry,
     normal_complex_draws,
 )

@@ -17,8 +17,8 @@ incident_deg=45.0`` (k and the angle written losslessly) and rows ``theta_deg,re
 row-major with y increasing downward, value v mapped linearly to the
 gray level round(255 v).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error,
-3 I/O error.  --seed overrides the config seed.  All writes go through
+Exit codes: 0 success, 1 verification failure, 2 usage, config or solver
+error, 3 I/O error.  --seed overrides the config seed.  All writes go through
 a temp file and rename, so outputs are never half-written.
 """
 
@@ -32,7 +32,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .forward import (
     SHAPE_FIELDS,
     ShapeSpec,
@@ -43,8 +43,8 @@ from .forward import (
     solve_lippmann_schwinger,
 )
 from .indicators import SamplingGrid, check_cutoff, combine_max, indicator_grid, superlevel_components
-from .kernels import WaveContext, lemma_sweep
-from .measurement import FieldSamples, NoiseSpec, add_noise, far_angles, near_circle_geometry
+from .kernels import WaveContext, far_angles, lemma_sweep
+from .measurement import FieldSamples, NoiseSpec, add_noise, near_circle_geometry
 from .scenarios import SCENARIO_NAMES, build
 
 _KNOWN_KEYS = {
@@ -341,26 +341,17 @@ def _verify_disk_oracle() -> float:
 
 
 def cmd_verify(args) -> int:
-    dims = (2, 3) if args.dim is None else (args.dim,)
-    lines = []
-    failures = []
-    for dim in dims:
+    checks = []  # (name, figure, value, tolerance); a check passes when value <= tolerance
+    for dim in (2, 3) if args.dim is None else (args.dim,):
         nquad = args.nquad if args.nquad is not None else (512 if dim == 2 else 64)
-        rmax = 4.0 if dim == 2 else 2.0
-        report = lemma_sweep(WaveContext(k=2.0 * np.pi, dim=dim), rmax=rmax,
-                             npairs=args.pairs, nquad=nquad, seed=args.seed or 0)
-        status = "PASS" if report.max_error <= _LEMMA_TOL else "FAIL"
-        if status == "FAIL":
-            failures.append(f"lemma dim={dim}")
-        lines.append(
-            f"lemma dim={dim} nquad={nquad} pairs={args.pairs} "
-            f"max_error={report.max_error:.3e} tolerance={_LEMMA_TOL:g} {status}"
-        )
-    error = _verify_disk_oracle()
-    status = "PASS" if error <= _ORACLE_TOL else "FAIL"
-    if status == "FAIL":
-        failures.append("disk_oracle")
-    lines.append(f"disk_oracle rel_l2_error={error:.3e} tolerance={_ORACLE_TOL:g} {status}")
+        report = lemma_sweep(WaveContext(k=_K, dim=dim), rmax=4.0 if dim == 2 else 2.0,
+                             npairs=args.pairs, nquad=nquad, seed=args.seed)
+        checks.append((f"lemma dim={dim}", f"nquad={nquad} pairs={args.pairs} max_error",
+                       report.max_error, _LEMMA_TOL))
+    checks.append(("disk_oracle", "rel_l2_error", _verify_disk_oracle(), _ORACLE_TOL))
+    failures = [name for name, _, value, tol in checks if not value <= tol]  # nan fails
+    lines = [f"{name} {figure}={value:.3e} tolerance={tol:g} "
+             f"{'FAIL' if name in failures else 'PASS'}" for name, figure, value, tol in checks]
     lines.append("overall " + ("PASS" if not failures else "FAIL: " + ", ".join(failures)))
 
     os.makedirs(args.outdir, exist_ok=True)
@@ -445,7 +436,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # ConfigError too, and the library's input checks
+    except (ValueError, SolverError) as exc:  # ConfigError too, and the library's input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

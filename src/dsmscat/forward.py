@@ -85,29 +85,36 @@ class ShapeSpec:
             return complex(self.eta)
         return (complex(self.nsq) - 1.0) * ctx.k**2
 
-    def area(self) -> float:
-        if self.kind == "square":
-            return self.side**2
-        if self.kind == "ring":
-            return self.outer_side**2 - self.inner_side**2
+    def _rect(self):
+        """(half_u, half_v, angle) of the outer rectangle of a square, ring or bar."""
         if self.kind == "bar":
-            return self.length * self.thickness
-        return np.pi * self.radius**2
+            return self.length / 2.0, self.thickness / 2.0, self.angle
+        half = (self.side if self.kind == "square" else self.outer_side) / 2.0
+        return half, half, 0.0
+
+    def area(self) -> float:
+        if self.kind == "disk":
+            return np.pi * self.radius**2
+        half_u, half_v, _ = self._rect()
+        return 4.0 * half_u * half_v - (self.inner_side**2 if self.kind == "ring" else 0.0)
 
     def bounding_box(self):
         c = np.asarray(self.center)
-        if self.kind == "square":
-            r = np.array([self.side, self.side]) / 2.0
-        elif self.kind == "ring":
-            r = np.array([self.outer_side, self.outer_side]) / 2.0
-        elif self.kind == "disk":
+        if self.kind == "disk":
             r = np.array([self.radius, self.radius])
         else:
-            ca, sa = abs(np.cos(self.angle)), abs(np.sin(self.angle))
-            r = 0.5 * np.array(
-                [self.length * ca + self.thickness * sa, self.length * sa + self.thickness * ca]
-            )
+            half_u, half_v, angle = self._rect()
+            ca, sa = abs(np.cos(angle)), abs(np.sin(angle))
+            r = np.array([half_u * ca + half_v * sa, half_u * sa + half_v * ca])
         return c - r, c + r
+
+
+def _in_rect(pts, half_u, half_v, angle):
+    """Centered pts in [-half_u, half_u) x [-half_v, half_v) of the frame rotated by angle."""
+    ca, sa = np.cos(angle), np.sin(angle)
+    u = pts[:, 0] * ca + pts[:, 1] * sa
+    v = -pts[:, 0] * sa + pts[:, 1] * ca
+    return (u >= -half_u) & (u < half_u) & (v >= -half_v) & (v < half_v)
 
 
 def contains(shape: ShapeSpec, x) -> bool | np.ndarray:
@@ -116,22 +123,12 @@ def contains(shape: ShapeSpec, x) -> bool | np.ndarray:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts) - np.asarray(shape.center)
-    if shape.kind == "square":
-        s = shape.side / 2.0
-        ok = (pts[:, 0] >= -s) & (pts[:, 0] < s) & (pts[:, 1] >= -s) & (pts[:, 1] < s)
-    elif shape.kind == "ring":
-        so, si = shape.outer_side / 2.0, shape.inner_side / 2.0
-        outer = (pts[:, 0] >= -so) & (pts[:, 0] < so) & (pts[:, 1] >= -so) & (pts[:, 1] < so)
-        inner = (pts[:, 0] >= -si) & (pts[:, 0] < si) & (pts[:, 1] >= -si) & (pts[:, 1] < si)
-        ok = outer & ~inner
-    elif shape.kind == "bar":
-        ca, sa = np.cos(shape.angle), np.sin(shape.angle)
-        u = pts[:, 0] * ca + pts[:, 1] * sa
-        v = -pts[:, 0] * sa + pts[:, 1] * ca
-        hl, ht = shape.length / 2.0, shape.thickness / 2.0
-        ok = (u >= -hl) & (u < hl) & (v >= -ht) & (v < ht)
-    else:
+    if shape.kind == "disk":
         ok = np.sum(pts**2, axis=1) < shape.radius**2
+    else:
+        ok = _in_rect(pts, *shape._rect())
+        if shape.kind == "ring":
+            ok &= ~_in_rect(pts, shape.inner_side / 2.0, shape.inner_side / 2.0, 0.0)
     return bool(ok[0]) if single else ok
 
 
@@ -174,8 +171,12 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
     eta = np.zeros(len(pts), dtype=complex)
     hit = np.zeros(len(pts), dtype=bool)
     for i in order:  # smaller shapes assign last, so innermost wins
+        value = shapes[i].eta_value(ctx)
+        if not np.isfinite(value):
+            raise DiscretizationError(
+                f"shape {i} ({shapes[i].kind}) has a non-finite contrast {value} at k = {ctx.k:g}")
         m = contains(shapes[i], pts)
-        eta[m] = shapes[i].eta_value(ctx)
+        eta[m] = value
         hit |= m
     if not np.any(hit):
         raise DiscretizationError(

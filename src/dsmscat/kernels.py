@@ -96,19 +96,20 @@ def green_farfield(ctx: WaveContext, xhat, y):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def _circle_directions(nquad: int) -> np.ndarray:
-    th = 2.0 * np.pi * np.arange(nquad) / nquad
-    return np.column_stack([np.cos(th), np.sin(th)])
+def far_angles(count: int) -> np.ndarray:
+    """Directions at angles 2 pi j / count on the unit circle."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    theta = 2.0 * np.pi * np.arange(count) / count
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def _sphere_rule(nquad: int):
     """Product quadrature on S^2: Gauss-Legendre in cos(theta), trapezoid in phi."""
     t, wt = np.polynomial.legendre.leggauss(nquad)
-    phi = 2.0 * np.pi * np.arange(nquad) / nquad
     st = np.sqrt(1.0 - t**2)
     dirs = np.empty((nquad * nquad, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    dirs[:, :2] = (st[:, None, None] * far_angles(nquad)).reshape(-1, 2)
     dirs[:, 2] = np.repeat(t, nquad)
     weights = np.repeat(wt, nquad) * (2.0 * np.pi / nquad)
     return dirs, weights
@@ -124,7 +125,7 @@ def farfield_correlation(ctx: WaveContext, xj, xp, nquad: int = 512):
     if nquad < 16:
         raise ValueError("nquad must be at least 16")
     if ctx.dim == 2:
-        dirs = _circle_directions(nquad)
+        dirs = far_angles(nquad)
         weights = np.full(nquad, 2.0 * np.pi / nquad)
     else:
         dirs, weights = _sphere_rule(nquad)

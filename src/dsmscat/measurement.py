@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import WaveContext, _check_direction
+from .kernels import WaveContext, _check_direction, far_angles
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -51,11 +51,10 @@ class FieldSamples:
         if not (np.all(np.isfinite(locations)) and np.all(np.isfinite(values))):
             raise ValueError("sample locations and values must be finite")
         radii = np.sqrt(np.sum(locations**2, axis=1))
-        if self.kind == "far":
-            if np.max(np.abs(radii - 1.0)) > 1e-12:
-                raise ValueError("far locations must be unit directions")
-        elif np.max(np.abs(radii - radii[0])) > 1e-12:
-            raise ValueError("near locations must lie on one circle")
+        radius = 1.0 if self.kind == "far" else radii[0]  # all radii within 1e-12 relative
+        if np.max(np.abs(radii - radius)) > 1e-12 * radius:
+            raise ValueError("far locations must be unit directions" if self.kind == "far"
+                             else "near locations must lie on one circle")
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "incident", _check_direction(np.asarray(self.incident, dtype=float), 2))
@@ -81,18 +80,7 @@ def near_circle_geometry(ctx: WaveContext, radius: float, count: int) -> np.ndar
     """Measurement points at angles 2 pi j / count on the radius circle."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    theta = 2.0 * np.pi * np.arange(count) / count
-    return radius * np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-def far_angles(count: int) -> np.ndarray:
-    """Observation directions at angles 2 pi j / count on the unit circle."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    theta = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(theta), np.sin(theta)])
+    return radius * far_angles(count)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -207,15 +207,19 @@ def _as_array(x, name="x"):
     return arr
 
 
+def _check_order(order) -> int:
+    if order < 0 or order != int(order):
+        raise ValueError("order must be a nonnegative integer")
+    return int(order)
+
+
 def bessel_j(order: int, x):
     """Bessel function of the first kind J_order(x), order >= 0, finite real x.
 
     Absolute error stays below 1e-12 on |x| <= 100.  Orders 0 and 1 come
     from ``_bessel01``, higher orders from their row of one Miller sweep.
     """
-    if order < 0 or order != int(order):
-        raise ValueError("order must be a nonnegative integer")
-    order = int(order)
+    order = _check_order(order)
     arr = _as_array(x)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -243,9 +247,7 @@ def bessel_y(order: int, x):
     Absolute error stays below 1e-10 * max(1, |Y|) on 1e-6 <= x <= 100.
     Raises ValueError at x <= 0 (logarithmic branch point).
     """
-    if order < 0 or order != int(order):
-        raise ValueError("order must be a nonnegative integer")
-    order = int(order)
+    order = _check_order(order)
     scalar = np.ndim(x) == 0
     arr = _positive_array(x, "bessel_y")
     out = _bessel01(order, arr).imag if order <= 1 else _y_rows(order, arr)[order]
@@ -266,8 +268,9 @@ def hankel1(order: int, x):
     """Hankel function of the first kind: J_order(x) + i Y_order(x), x > 0."""
     scalar = np.ndim(x) == 0
     arr = _positive_array(x, "hankel1")
-    if order in (0, 1):
-        out = _bessel01(int(order), arr)
+    order = _check_order(order)
+    if order <= 1:
+        out = _bessel01(order, arr)
     else:
-        out = bessel_j(order, arr) + 1j * bessel_y(order, arr)
+        out = _miller_jn(order, arr)[order] + 1j * _y_rows(order, arr)[order]
     return complex(out[0]) if scalar else out

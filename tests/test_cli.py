@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dsmscat import errors
 from dsmscat.cli import main, parse_config, read_samples, _parse_shape
 from dsmscat.errors import ConfigError
 
@@ -221,6 +222,42 @@ def test_verify_underresolved_quadrature_fails(tmp_path):
     assert "FAIL" in (tmp_path / "verify_report.txt").read_text()
 
 
+# the whole report of two runs, as the check table must keep printing it
+_VERIFY_RUNS = {
+    "default": ([], 0, [
+        "lemma dim=2 nquad=512 pairs=200 max_error=2.810e-16 tolerance=1e-08 PASS",
+        "lemma dim=3 nquad=64 pairs=200 max_error=1.284e-16 tolerance=1e-08 PASS",
+        "disk_oracle rel_l2_error=1.130e-02 tolerance=0.02 PASS",
+        "overall PASS",
+    ], ""),
+    "underresolved": (["--dim", "2", "--nquad", "16", "--pairs", "20"], 1, [
+        "lemma dim=2 nquad=16 pairs=20 max_error=1.631e-02 tolerance=1e-08 FAIL",
+        "disk_oracle rel_l2_error=1.130e-02 tolerance=0.02 PASS",
+        "overall FAIL: lemma dim=2",
+    ], "verification failed: lemma dim=2\n"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_VERIFY_RUNS))
+def test_verify_report_lines_pinned(tmp_path, capsys, run):
+    flags, code, lines, err = _VERIFY_RUNS[run]
+    capsys.readouterr()
+    assert main(["verify", *flags, "--outdir", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == err
+    assert (tmp_path / "verify_report.txt").read_text() == "\n".join(lines) + "\n"
+
+
+def test_verify_nan_figure_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dsmscat.cli._verify_disk_oracle", lambda: float("nan"))
+    assert main(["verify", "--dim", "2", "--pairs", "5", "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == [
+        "disk_oracle rel_l2_error=nan tolerance=0.02 FAIL", "overall FAIL: disk_oracle"]
+    assert captured.err == "verification failed: disk_oracle\n"
+
+
 def test_verify_dim4_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--dim", "4", "--outdir", str(tmp_path)])
@@ -336,3 +373,43 @@ def test_reproduce_equals_synthesize_then_image(tmp_path):
         np.testing.assert_allclose(ours[:, 2], theirs[:, 2], rtol=0.0, atol=1e-12)
         ppm = f"indicator_{kind}.ppm"
         assert (img / ppm).read_bytes() == (rep / ppm).read_bytes(), kind
+
+
+def test_overflowing_contrast_is_a_config_error(tmp_path, capsys):
+    # nsq is finite, but (nsq - 1) k^2 overflows to inf
+    cfg = _write(tmp_path / "cfg.txt", "shape = square 0 0 0.3 nsq 1e308\nincidents = 0\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape 0 (square) has a non-finite contrast")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("radius", ["10000", "100000"])
+def test_far_receiver_circles_are_accepted(tmp_path, radius):
+    cfg = _write(tmp_path / "cfg.txt", f"scenario = ex1\nnear.radius = {radius}\n")
+    out = tmp_path / "data"
+    assert main(["synthesize", "--config", cfg, "--outdir", str(out)]) == 0
+    near = out / "ex1_near_inc0_eps0.csv"
+    assert read_samples(str(near))[1].radius == pytest.approx(float(radius), rel=1e-12)
+    if radius == "10000":
+        assert main(["image", "--data", str(near), "--outdir", str(tmp_path / "img")]) == 0
+
+
+_LIBRARY_ERRORS = [cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+def test_library_errors_listed():
+    assert len(_LIBRARY_ERRORS) == 5
+
+
+@pytest.mark.parametrize("cls", _LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, cls):
+    def fail(*args, **kwargs):
+        raise cls("injected failure")
+
+    monkeypatch.setattr("dsmscat.cli.discretize", fail)
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
+    capsys.readouterr()
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: injected failure\n"

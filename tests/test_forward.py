@@ -109,6 +109,88 @@ def test_contains_disk():
     assert not contains(d, (1.5, 0.0))  # boundary excluded
 
 
+# Literal half-open definitions of the rectangular kinds, in the shape's
+# local frame d = x - center.  A square or ring is axis-aligned whatever its
+# angle field holds; a bar is [-L/2, L/2) x [-T/2, T/2) in the frame rotated
+# by its angle.
+_RECT_CENTER = (0.25, -0.5)
+
+
+def _literal_rect_shape(kind, angle):
+    if kind == "square":
+        return square(_RECT_CENTER, 0.5, angle=angle, eta=1.0)
+    if kind == "ring":
+        return ShapeSpec(kind="ring", center=_RECT_CENTER, outer_side=0.5, inner_side=0.25,
+                         angle=angle, eta=1.0)
+    return ShapeSpec(kind="bar", center=_RECT_CENTER, length=0.75, thickness=0.125,
+                     angle=angle, eta=1.0)
+
+
+def _literal_half_open(d, half_u, half_v):
+    return (d[:, 0] >= -half_u) & (d[:, 0] < half_u) & (d[:, 1] >= -half_v) & (d[:, 1] < half_v)
+
+
+def _literal_contains(kind, angle, pts):
+    d = pts - np.array(_RECT_CENTER)
+    if kind == "square":
+        return _literal_half_open(d, 0.25, 0.25)
+    if kind == "ring":
+        return _literal_half_open(d, 0.25, 0.25) & ~_literal_half_open(d, 0.125, 0.125)
+    ca, sa = np.cos(angle), np.sin(angle)
+    local = np.column_stack([d[:, 0] * ca + d[:, 1] * sa, -d[:, 0] * sa + d[:, 1] * ca])
+    return _literal_half_open(local, 0.375, 0.0625)
+
+
+def _literal_box(kind, angle):
+    c = np.array(_RECT_CENTER)
+    if kind == "bar":
+        ca, sa = abs(np.cos(angle)), abs(np.sin(angle))
+        r = 0.5 * np.array([0.75 * ca + 0.125 * sa, 0.75 * sa + 0.125 * ca])
+    else:
+        r = np.array([0.25, 0.25])
+    return c - r, c + r
+
+
+@pytest.mark.parametrize("kind", ["square", "ring", "bar"])
+@pytest.mark.parametrize("angle", [0.0, np.pi / 6, np.pi / 2], ids=["0", "pi/6", "pi/2"])
+def test_rectangular_shapes_match_literal_definitions(kind, angle):
+    shape = _literal_rect_shape(kind, angle)
+    # a 1/32 lattice holds every axis-aligned min and max edge exactly
+    ticks = np.arange(-24, 25) / 32.0
+    gx, gy = np.meshgrid(_RECT_CENTER[0] + ticks, _RECT_CENTER[1] + ticks)
+    lattice = np.column_stack([gx.ravel(), gy.ravel()])
+    # and points on the rotated bar's four edges
+    ca, sa = np.cos(angle), np.sin(angle)
+    t = np.linspace(-1.0, 1.0, 9)
+    edges = np.concatenate(
+        [np.column_stack([np.full(9, su * 0.375), 0.0625 * t]) for su in (-1, 1)]
+        + [np.column_stack([0.375 * t, np.full(9, sv * 0.0625)]) for sv in (-1, 1)])
+    rotated = np.column_stack([edges[:, 0] * ca - edges[:, 1] * sa,
+                               edges[:, 0] * sa + edges[:, 1] * ca])
+    pts = np.concatenate([lattice, rotated + np.array(_RECT_CENTER)])
+    expected = _literal_contains(kind, angle, pts)
+    np.testing.assert_array_equal(contains(shape, pts), expected)
+    assert [contains(shape, p) for p in pts[:50]] == expected[:50].tolist()
+    assert 0 < expected.sum() < len(pts)
+    lo, hi = shape.bounding_box()
+    want_lo, want_hi = _literal_box(kind, angle)
+    np.testing.assert_array_equal(lo, want_lo)
+    np.testing.assert_array_equal(hi, want_hi)
+    assert shape.area() == {"square": 0.5**2, "ring": 0.5**2 - 0.25**2, "bar": 0.75 * 0.125}[kind]
+
+
+def test_rectangle_edges_are_half_open():
+    sq = _literal_rect_shape("square", 0.0)
+    assert contains(sq, (0.0, -0.75)) and not contains(sq, (0.5, -0.5))
+    assert not contains(sq, (0.25, -0.25))
+    ring = _literal_rect_shape("ring", 0.0)
+    # the hole's min edge is outside the ring, its max edge inside
+    assert not contains(ring, (0.125, -0.5)) and contains(ring, (0.375, -0.5))
+    bar = _literal_rect_shape("bar", 0.0)
+    assert contains(bar, (-0.125, -0.5625)) and not contains(bar, (0.625, -0.5))
+    assert not contains(bar, (0.25, -0.4375))
+
+
 def test_discretize_single_cell_for_tiny_square():
     grid = discretize(CTX, [square((0, 0), 0.02, eta=1.0)], h_fwd=0.02)
     assert len(grid) == 1

@@ -67,6 +67,18 @@ def test_field_samples_validation():
     assert s.radius == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("radius", [1e4, 1e5])
+def test_field_samples_accept_large_receiver_circles(radius):
+    # the rounding of x and y alone spreads the radii by more than 1e-12 here
+    pts = near_circle_geometry(CTX, radius, 50)
+    s = FieldSamples(kind="near", locations=pts, values=np.ones(50), incident=D1)
+    assert s.radius == pytest.approx(radius, rel=1e-12)
+    bent = pts.copy()
+    bent[3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="one circle"):
+        FieldSamples(kind="near", locations=bent, values=np.ones(50), incident=D1)
+
+
 def test_noise_spec_validation():
     NoiseSpec(epsilon=0.0, seed=1)
     NoiseSpec(epsilon=1.0, seed=1)

@@ -343,6 +343,21 @@ def test_domain_errors():
         hankel1(0, -2.0)
 
 
+def test_hankel1_rejects_bad_orders():
+    for order in (-1, 2.5):
+        with pytest.raises(ValueError, match="order"):
+            hankel1(order, 1.0)
+
+
+def test_hankel1_rows_equal_bessel_j_and_y_bitwise():
+    x = np.concatenate([np.linspace(1e-3, 60.0, 2001), [1e-6, 0.5, 100.0]])
+    for n in range(2, 11):
+        h = hankel1(n, x)
+        np.testing.assert_array_equal(h.real, bessel_j(n, x), err_msg=f"J{n}")
+        np.testing.assert_array_equal(h.imag, bessel_y(n, x), err_msg=f"Y{n}")
+    assert hankel1(4, 3.0) == complex(bessel_j(4, 3.0), bessel_y(4, 3.0))
+
+
 def test_complex_arithmetic_invariants():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
