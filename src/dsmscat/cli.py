@@ -13,9 +13,11 @@ repeated ``shape`` lines for explicit scatterers:
 
 Sample files are CSV with header ``# kind=far k=6.283185307179586
 incident_deg=45.0`` (k and the angle written losslessly) and rows ``theta_deg,re,im`` (far) or ``x,y,re,im``
-(near), 17 significant digits.  Heatmaps are binary P6 pixmaps,
-row-major with y increasing downward, value v mapped linearly to the
-gray level round(255 v).
+(near), 17 significant digits.  Indicator CSVs have the header lines
+``# kind=indicator h=H shape=NYxNX`` and ``x,y,value``, then one row per
+grid node, x fastest, coordinates at 12 significant digits and values
+at 17.  Heatmaps are binary P6 pixmaps, row-major with y increasing
+downward, value v mapped linearly to the gray level round(255 v).
 
 Exit codes: 0 success, 1 verification failure, 2 usage, config or solver
 error, 3 I/O error.  --seed overrides the config seed.  All writes go through
@@ -211,15 +213,18 @@ def read_samples(path: str):
 
 
 def write_indicator_csv(path: str, result) -> None:
+    """Header, ``x,y,value`` and one row per node, x fastest; coordinates
+    at 12 significant digits, values at 17 (lossless)."""
     grid = result.grid
-    lines = [f"# kind=indicator h={grid.h:.8g} shape={grid.shape[0]}x{grid.shape[1]}",
-             "x,y,value"]
-    # each coordinate is formatted once per file (x) or once per row (y)
-    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
-    for y, row in zip(grid.ys.tolist(), result.values.tolist()):
-        y_text = f"{y:.17g},"
-        lines.extend([f"{x}{y_text}{v:.17g}" for x, v in zip(xs, row)])
-    atomic_write(path, "\n".join(lines) + "\n")
+    chunks = [f"# kind=indicator h={grid.h:.8g} shape={grid.shape[0]}x{grid.shape[1]}\n"
+              "x,y,value\n".encode()]
+    # one grid row per chunk, so the text never exists as one list of lines
+    xs = [f"{x:.12g}," for x in grid.xs.tolist()]
+    for y, row in zip(grid.ys.tolist(), result.values):
+        y_text = f"{y:.12g},"
+        text = "".join([f"{x}{y_text}{v:.17g}\n" for x, v in zip(xs, row.tolist())])
+        chunks.append(text.encode())
+    atomic_write(path, b"".join(chunks))
 
 
 def write_heatmap_ppm(path: str, result) -> None:
@@ -246,14 +251,13 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
 
 
-def _write_samples(ctx, outdir, label, shapes, incidents, epsilons, seed, near_pts, far_dirs):
-    """Solve the forward problem per incident and write one sample file per
-    (incident, kind, epsilon), sampling at near_pts and in far_dirs.
+def _write_samples(ctx, outdir, label, cells, incidents, epsilons, seed, near_pts, far_dirs):
+    """Solve the forward problem on cells per incident and write one sample
+    file per (incident, kind, epsilon), sampling at near_pts and in far_dirs.
 
     Returns the paths in write order and {(kind, epsilon): [FieldSamples per
     incident]}.
     """
-    cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
     paths, data = [], {}
     for index, direction in enumerate(incidents):
         current = solve_lippmann_schwinger(ctx, cells, direction)
@@ -298,8 +302,9 @@ def cmd_synthesize(args) -> int:
                       lambda raw: [NoiseSpec(epsilon=e, seed=0).epsilon for e in _float_list(raw)],
                       [0.0])
     seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
+    cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
     os.makedirs(args.outdir, exist_ok=True)
-    paths, _ = _write_samples(ctx, args.outdir, label, shapes, incidents, epsilons, seed,
+    paths, _ = _write_samples(ctx, args.outdir, label, cells, incidents, epsilons, seed,
                               near_pts, far_dirs)
     print("\n".join(paths))
     return 0
@@ -370,9 +375,10 @@ def cmd_reproduce(args) -> int:
     _named("--cutoff", check_cutoff, args.cutoff)
     ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
+    cells = discretize(ctx, scenario.shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
     os.makedirs(args.outdir, exist_ok=True)
     near_pts = near_circle_geometry(ctx, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength, _NEAR_COUNT)
-    _, data = _write_samples(ctx, args.outdir, scenario.name, scenario.shapes, scenario.incidents,
+    _, data = _write_samples(ctx, args.outdir, scenario.name, cells, scenario.incidents,
                              epsilons, args.seed, near_pts, far_angles(_FAR_COUNT))
     report = [
         f"scenario={scenario.name} variant={args.variant or 'none'} "

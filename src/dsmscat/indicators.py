@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateDataError, EvaluationPointError
 from .kernels import WaveContext, green, green_farfield
 from .measurement import FieldSamples
-from .special import _miller_jn, bessel_y
+from .special import _miller_jn, bessel_j, bessel_y
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,9 @@ def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
 def _graf_hankel(kr_big: float, kr_max: float):
     """H_0..H_M(kR) for the order M that _graf_order sets for kr_max, or
     None when that order would pass _GRAF_CAP.  Y_m comes from upward
-    recurrence (stable for Y), J_m from one Miller sweep."""
+    recurrence (stable for Y).  J_m comes from upward recurrence too when
+    M < kR, where it is stable for J, else from one Miller sweep, which
+    starts above kR and so would cost a far receiver circle kR steps."""
     y = [bessel_y(0, kr_big), bessel_y(1, kr_big)]
     while abs(y[-1]) <= _GRAF_CAP:
         y.append(2.0 * (len(y) - 1) / kr_big * y[-1] - y[-2])
@@ -191,7 +193,14 @@ def _graf_hankel(kr_big: float, kr_max: float):
     order = _graf_order(np.log(np.abs(y) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
     if order < 0:
         return None
-    return _miller_jn(order, np.array([kr_big]))[:, 0] + 1j * y[:order + 1]
+    if order < kr_big:
+        j = [bessel_j(0, kr_big), bessel_j(1, kr_big)]
+        for m in range(1, order):
+            j.append(2.0 * m / kr_big * j[-1] - j[-2])
+        j = np.array(j[:order + 1])
+    else:
+        j = _miller_jn(order, np.array([kr_big]))[:, 0]
+    return j + 1j * y[:order + 1]
 
 
 def _aliased_norms(hj: np.ndarray, unit: np.ndarray, count: int, theta: np.ndarray) -> np.ndarray:

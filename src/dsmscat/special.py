@@ -15,9 +15,11 @@ Orders 0 and 1, the hot path for kernel sweeps, share one evaluator,
   asymptotic expansion is not yet accurate,
 * Hankel's large-argument expansion gives J for x > 14 and Y for x > 12.
 
-That backward recurrence, ``_miller_jn``, is the package's one source of
-J for higher orders: a sweep returns every J_0 .. J_n at once.  Y of
-higher orders comes from upward recurrence on Y0 and Y1.  All public
+That backward recurrence, ``_miller_jn``, is the package's source of J
+for higher orders: a sweep returns every J_0 .. J_n at once.  (Only
+``indicators._graf_hankel`` recurs upward from J0 and J1, for orders
+below its one large argument.)  Y of higher orders comes from upward
+recurrence on Y0 and Y1.  All public
 functions are vectorized; scalars in give scalars out.
 """
 

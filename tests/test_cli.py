@@ -1,9 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsmscat import errors
-from dsmscat.cli import main, parse_config, read_samples, _parse_shape
-from dsmscat.errors import ConfigError
+from dsmscat.cli import main, parse_config, read_samples, _parse_shape, write_indicator_csv
+from dsmscat.errors import ConfigError, DiscretizationError
+from dsmscat.indicators import IndicatorGrid, SamplingGrid
 
 
 def _write(path, text):
@@ -373,6 +377,57 @@ def test_reproduce_equals_synthesize_then_image(tmp_path):
         np.testing.assert_allclose(ours[:, 2], theirs[:, 2], rtol=0.0, atol=1e-12)
         ppm = f"indicator_{kind}.ppm"
         assert (img / ppm).read_bytes() == (rep / ppm).read_bytes(), kind
+
+
+def _default_grid_result():
+    """Indicator values on the default 401 x 401 grid, with edge cases of %.17g."""
+    grid = SamplingGrid()
+    values = np.random.default_rng(5).random(grid.shape)
+    values.flat[:4] = [1.0, 0.0, 5e-324, np.nextafter(1.0, 0.0)]
+    return IndicatorGrid(grid=grid, values=values)
+
+
+def test_indicator_csv_format_on_default_grid(tmp_path):
+    result = _default_grid_result()
+    path = tmp_path / "indicator.csv"
+    write_indicator_csv(str(path), result)
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# kind=indicator h=0.01 shape=401x401", "x,y,value"]
+    coordinate = re.compile(r"^-?\d(\.\d{1,2})?$")
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 401 * 401 and all(len(row) == 3 for row in rows)
+    assert all(coordinate.match(x) and coordinate.match(y) for x, y, _ in rows)
+    body = np.array(rows, dtype=float)
+    assert np.max(np.abs(body[:, :2] - result.grid.nodes())) <= 1e-15
+    np.testing.assert_array_equal(body[:, 2], result.values.ravel())
+
+
+def test_indicator_csv_writer_memory(tmp_path):
+    result = _default_grid_result()
+    tracemalloc.start()
+    try:
+        write_indicator_csv(str(tmp_path / "indicator.csv"), result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6, peak
+
+
+@pytest.mark.parametrize("command", ["synthesize", "reproduce"])
+def test_rejected_scatterer_leaves_no_outdir(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+    if command == "synthesize":
+        cfg = _write(tmp_path / "cfg.txt", "shape = square 0 0 0.3 nsq 1e308\nincidents = 0\n")
+        argv = ["synthesize", "--config", cfg]
+    else:
+        def reject(*args, **kwargs):
+            raise DiscretizationError("rejected scatterer")
+
+        monkeypatch.setattr("dsmscat.cli.discretize", reject)
+        argv = ["reproduce", "--example", "ex1"]
+    assert main([*argv, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_overflowing_contrast_is_a_config_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from dsmscat.forward import discretize, scattered_far, solve_lippmann_schwinger
 from dsmscat.kernels import WaveContext, green, green_farfield
 from dsmscat.measurement import FieldSamples, far_angles, near_circle_geometry
 from dsmscat.scenarios import build
-from dsmscat.special import bessel_j
+from dsmscat.special import _miller_jn, bessel_j
 
 CTX = WaveContext(k=2.0 * np.pi)
 D1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -432,6 +432,24 @@ def test_near_grid_property_against_dense_kernel():
         assert np.max(np.abs(_grid_correlation(ctx, data, grid) - _dense(ctx, data, grid))) <= 1e-11
 
     check()
+
+
+@pytest.mark.parametrize("kr_big, reference, tol", [
+    (1e3, "miller", 1e-10),
+    (2.0 * np.pi * 1e4, "miller", 1e-10),
+    (2.0 * np.pi * 1e5, "scipy", 1e-9),
+])
+def test_graf_j_rows_below_the_argument(kr_big, reference, tol):
+    # a far receiver circle: the order M stays below kR, so the J_m rows come
+    # from upward recurrence, not from a Miller sweep started above kR
+    hankel = _graf_hankel(kr_big, 2.0 * np.pi * 2.0 * np.sqrt(2.0))  # default grid corner
+    order = len(hankel) - 1
+    assert 0 < order < kr_big
+    if reference == "miller":
+        expected = _miller_jn(order, np.array([kr_big]))[:, 0]
+    else:
+        expected = pytest.importorskip("scipy.special").jv(np.arange(order + 1), kr_big)
+    assert np.max(np.abs(hankel.real - expected)) <= tol * np.sqrt(2.0 / (np.pi * kr_big))
 
 
 def test_grid_fallbacks_equal_the_dense_kernel():
