@@ -27,6 +27,7 @@ a temp file and rename, so outputs are never half-written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -74,6 +75,9 @@ def atomic_write(path: str, payload) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dsmscat-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; give what open() would
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
@@ -119,8 +123,15 @@ def _value(cfg: dict, key: str, parse=str, default=None):
     return _named(f"key {key!r}", parse, values[0])
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",")]
+    return [_finite(tok) for tok in raw.split(",")]
 
 
 def _parse_shape(line: str) -> ShapeSpec:
@@ -194,12 +205,14 @@ def read_samples(path: str):
             raise ConfigError(f"{path}: missing or malformed sample header")
         kind, k_raw, deg_raw = match.groups()
         try:
-            k = WaveContext(k=float(k_raw)).k
-            incident = np.deg2rad(float(deg_raw))
+            k = WaveContext(k=_finite(k_raw)).k
+            incident = np.deg2rad(_finite(deg_raw))
             body = np.loadtxt(handle, delimiter=",", ndmin=2)
             expected_cols = 3 if kind == "far" else 4
             if body.size == 0 or body.shape[1] != expected_cols:
                 raise ValueError(f"expected {expected_cols} columns of sample rows")
+            if not np.all(np.isfinite(body)):
+                raise ValueError("sample rows must hold finite numbers")
             if kind == "far":
                 theta = np.deg2rad(body[:, 0])
                 locations = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -237,9 +250,9 @@ def write_heatmap_ppm(path: str, result) -> None:
 
 def _grid_from_config(cfg: dict) -> SamplingGrid:
     default = SamplingGrid()
-    lo = _value(cfg, "grid.min", float, default.xmin)
-    hi = _value(cfg, "grid.max", float, default.xmax)
-    h = _value(cfg, "grid.h", float, default.h)
+    lo = _value(cfg, "grid.min", _finite, default.xmin)
+    hi = _value(cfg, "grid.max", _finite, default.xmax)
+    h = _value(cfg, "grid.h", _finite, default.h)
     return SamplingGrid(xmin=lo, xmax=hi, ymin=lo, ymax=hi, h=h)
 
 
@@ -281,6 +294,7 @@ def _write_image(ctx, data, grid, outdir):
     """Image FieldSamples of one kind, combined by nodewise maximum, and write
     indicator_<kind>.csv and .ppm; returns the combined grid and the paths."""
     combined = combine_max([indicator_grid(ctx, samples, grid) for samples in data])
+    os.makedirs(outdir, exist_ok=True)  # only now, so a failed image leaves no directory
     csv_path, ppm_path = (os.path.join(outdir, f"indicator_{data[0].kind}.{ext}")
                           for ext in ("csv", "ppm"))
     write_indicator_csv(csv_path, combined)
@@ -290,10 +304,10 @@ def _write_image(ctx, data, grid, outdir):
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args.config)
-    ctx = _value(cfg, "k", lambda raw: WaveContext(k=float(raw)), WaveContext(k=_K))
+    ctx = _value(cfg, "k", lambda raw: WaveContext(k=_finite(raw)), WaveContext(k=_K))
     label, shapes, preset_incidents = _resolve_scatterer(cfg)
     incidents = _resolve_incidents(cfg, preset_incidents)
-    near_radius = _value(cfg, "near.radius", float, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
+    near_radius = _value(cfg, "near.radius", _finite, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
     _named("key 'near.radius'", near_circle_geometry, ctx, near_radius, 1)  # the radius rule alone
     near_pts = _named("key 'near.count'", near_circle_geometry, ctx, near_radius,
                       _value(cfg, "near.count", int, _NEAR_COUNT))
@@ -319,7 +333,7 @@ def cmd_image(args) -> int:
     ks = np.array([k for k, _ in loaded])
     if np.max(ks) - np.min(ks) > 1e-9 * np.max(ks):
         raise ConfigError("data files disagree on the wave number k")
-    config_k = _value(cfg, "k", float)
+    config_k = _value(cfg, "k", _finite)
     if config_k is not None and abs(config_k - ks[0]) > 1e-9 * ks[0]:
         raise ConfigError("config k does not match the data files")
     degs = [round(_incident_deg(s.incident), 6) for _, s in loaded]
@@ -327,7 +341,6 @@ def cmd_image(args) -> int:
         raise ConfigError("duplicate incident direction across data files")
 
     grid = _grid_from_config(cfg)
-    os.makedirs(args.outdir, exist_ok=True)
     _, paths = _write_image(WaveContext(k=float(ks[0])), [s for _, s in loaded], grid, args.outdir)
     print("\n".join(paths))
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DiscretizationError, EvaluationPointError, SolverError
 from .kernels import WaveContext, green, green_farfield, _check_direction
-from .special import _miller_jn, _y_rows, hankel1
+from .special import _miller_jn, _upward_rows, hankel1
 
 MAX_CELLS = 5000
 
@@ -296,7 +296,7 @@ def disk_series_farfield(ctx: WaveContext, radius: float, nsq, d, angles):
     # J_0..J_{m_max+1} at both interface arguments from one sweep, and
     # f'_m = (f_{m-1} - f_{m+1}) / 2 with f_{-1} = -f_1 for every derivative
     j_ka, j_k1a = _miller_jn(m_max + 1, np.array([ka, k1a])).T
-    h_ka = j_ka + 1j * _y_rows(m_max + 1, np.array([ka]))[:, 0]
+    h_ka = j_ka + 1j * _upward_rows(m_max + 1, ka).imag
     jp_ka, jp_k1a, hp_ka = (0.5 * (np.concatenate([-f[1:2], f[:-2]]) - f[1:])
                             for f in (j_ka, j_k1a, h_ka))
     j_ka, j_k1a, h_ka = j_ka[:-1], j_k1a[:-1], h_ka[:-1]

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateDataError, EvaluationPointError
 from .kernels import WaveContext, green, green_farfield
 from .measurement import FieldSamples
-from .special import _miller_jn, bessel_j, bessel_y
+from .special import _miller_jn, _upward_rows
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,21 @@ def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndar
     return green(ctx, data.locations[:, None, :], points[None, :, :])
 
 
-def _data_norm(data: FieldSamples) -> float:
-    """||u||; identically zero data raise DegenerateDataError."""
-    norm_u = np.linalg.norm(data.values)
-    if norm_u == 0.0:
+def _data_norm(data: FieldSamples):
+    """(u, ||u||) for the data u times the power of two that brings max|u|
+    into [0.5, 1): exact, and the indicator does not see it, but ||u||
+    neither underflows nor overflows.  Zero data raise DegenerateDataError."""
+    peak = np.max(np.abs(data.values))
+    if peak == 0.0:
         raise DegenerateDataError("measured data is identically zero")
-    return norm_u
+    u = data.values * 2.0 ** min(1023, -int(np.frexp(peak)[1]))  # 2.0 ** 1024 overflows
+    return u, np.linalg.norm(u)
 
 
 def _correlation(data: FieldSamples, gram: np.ndarray) -> np.ndarray:
     """|conj(G)^T u| / (||u|| ||g_p||) for every column g_p of the kernel gram."""
-    inner = np.abs(np.conj(gram).T @ data.values)
-    return inner / (_data_norm(data) * np.linalg.norm(gram, axis=0))
+    u, norm_u = _data_norm(data)
+    return np.abs(np.conj(gram).T @ u) / (norm_u * np.linalg.norm(gram, axis=0))
 
 
 def indicator_values(ctx: WaveContext, data: FieldSamples, points):
@@ -134,7 +137,8 @@ def _far_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGr
     so the inner products are E_y^T diag(u) E_x, and every kernel column
     has the norm sqrt(n) |G_inf|.
     """
-    u = data.values / _data_norm(data)
+    u, norm_u = _data_norm(data)
+    u = u / norm_u
     e_x = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 0], grid.xs))
     e_y = np.exp(1j * ctx.k * np.multiply.outer(data.locations[:, 1], grid.ys))
     return np.abs(e_y.T @ (u[:, None] * e_x)) / np.sqrt(len(u))
@@ -182,25 +186,23 @@ def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
 
 def _graf_hankel(kr_big: float, kr_max: float):
     """H_0..H_M(kR) for the order M that _graf_order sets for kr_max, or
-    None when that order would pass _GRAF_CAP.  Y_m comes from upward
-    recurrence (stable for Y).  J_m comes from upward recurrence too when
-    M < kR, where it is stable for J, else from one Miller sweep, which
-    starts above kR and so would cost a far receiver circle kR steps."""
-    y = [bessel_y(0, kr_big), bessel_y(1, kr_big)]
-    while abs(y[-1]) <= _GRAF_CAP:
-        y.append(2.0 * (len(y) - 1) / kr_big * y[-1] - y[-2])
-    y = np.array(y[:-1])
-    order = _graf_order(np.log(np.abs(y) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
-    if order < 0:
-        return None
-    if order < kr_big:
-        j = [bessel_j(0, kr_big), bessel_j(1, kr_big)]
-        for m in range(1, order):
-            j.append(2.0 * m / kr_big * j[-1] - j[-2])
-        j = np.array(j[:order + 1])
-    else:
-        j = _miller_jn(order, np.array([kr_big]))[:, 0]
-    return j + 1j * y[:order + 1]
+    None when that order would pass _GRAF_CAP.  Upward recurrence to a top
+    that doubles until M is found costs about M steps, not kR; its J parts
+    stand while M < kR, where it is stable for J, else one Miller sweep,
+    started above kR, gives J."""
+    top = 64
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past the cap may overflow
+        while True:
+            rows = _upward_rows(top, float(kr_big))
+            capped = np.abs(rows.imag) > _GRAF_CAP
+            kept = rows.imag[:np.argmax(capped)] if capped.any() else rows.imag
+            order = _graf_order(np.log(np.abs(kept) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
+            if order >= 0 or capped.any():
+                break
+            top *= 2
+    if order >= kr_big:
+        rows.real[:order + 1] = _miller_jn(order, np.array([kr_big]))[:, 0]
+    return rows[:order + 1] if order >= 0 else None
 
 
 def _aliased_norms(hj: np.ndarray, unit: np.ndarray, count: int, theta: np.ndarray) -> np.ndarray:
@@ -241,7 +243,8 @@ def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingG
     not.  Nodes go in blocks of similar radius, each with the order count
     its largest radius needs.
     """
-    spectrum = np.fft.fft(data.values / _data_norm(data))
+    u, norm_u = _data_norm(data)
+    spectrum = np.fft.fft(u / norm_u)
     count, kr_big = len(spectrum), ctx.k * data.radius
     orders = np.arange(len(hankel))
     size = np.abs(hankel)

@@ -16,11 +16,11 @@ Orders 0 and 1, the hot path for kernel sweeps, share one evaluator,
 * Hankel's large-argument expansion gives J for x > 14 and Y for x > 12.
 
 That backward recurrence, ``_miller_jn``, is the package's source of J
-for higher orders: a sweep returns every J_0 .. J_n at once.  (Only
-``indicators._graf_hankel`` recurs upward from J0 and J1, for orders
-below its one large argument.)  Y of higher orders comes from upward
-recurrence on Y0 and Y1.  All public
-functions are vectorized; scalars in give scalars out.
+for higher orders: a sweep returns every J_0 .. J_n at once.  The one
+upward recurrence, ``_upward_rows``, carries H0 and H1 to higher orders;
+its Y parts are stable at every order and serve Y, and its J parts only
+while the order stays below x, where ``indicators._graf_hankel`` keeps
+them.  All public functions are vectorized; scalars in give scalars out.
 """
 
 from __future__ import annotations
@@ -252,15 +252,16 @@ def bessel_y(order: int, x):
     order = _check_order(order)
     scalar = np.ndim(x) == 0
     arr = _positive_array(x, "bessel_y")
-    out = _bessel01(order, arr).imag if order <= 1 else _y_rows(order, arr)[order]
+    out = _bessel01(order, arr).imag if order <= 1 else _upward_rows(order, arr)[order].imag
     return float(out[0]) if scalar else out
 
 
-def _y_rows(order: int, x):
-    """Y_0 .. Y_order (order >= 1) at each x > 0 as the rows of an
-    (order + 1, x.size) array, by upward recurrence (stable for Y)."""
-    rows = np.empty((order + 1, x.size))
-    rows[0], rows[1] = _bessel01(0, x).imag, _bessel01(1, x).imag
+def _upward_rows(order: int, x):
+    """Rows H_0 .. H_order (order >= 1) at x > 0, a float or an array, by
+    upward recurrence, which is stable for Y, and for J only while m < x
+    (DLMF 10.74(iv)).  A float x recurs on scalars, several times faster."""
+    rows = np.empty((order + 1,) + np.shape(x), dtype=complex)
+    rows[0], rows[1] = _bessel01(0, np.asarray(x)), _bessel01(1, np.asarray(x))
     for m in range(1, order):
         rows[m + 1] = (2.0 * m / x) * rows[m] - rows[m - 1]
     return rows
@@ -274,5 +275,5 @@ def hankel1(order: int, x):
     if order <= 1:
         out = _bessel01(order, arr)
     else:
-        out = _miller_jn(order, arr)[order] + 1j * _y_rows(order, arr)[order]
+        out = _miller_jn(order, arr)[order] + 1j * _upward_rows(order, arr)[order].imag
     return complex(out[0]) if scalar else out

@@ -1,11 +1,13 @@
+import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dsmscat import errors
-from dsmscat.cli import main, parse_config, read_samples, _parse_shape, write_indicator_csv
+from dsmscat.cli import atomic_write, main, parse_config, read_samples, _parse_shape, write_indicator_csv
 from dsmscat.errors import ConfigError, DiscretizationError
 from dsmscat.indicators import IndicatorGrid, SamplingGrid
 
@@ -13,6 +15,27 @@ from dsmscat.indicators import IndicatorGrid, SamplingGrid
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _main_recording_warnings(argv):
+    """main(argv) and the list of warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return main(argv), caught
+
+
+def _scaled_far_file(tmp_path, factor):
+    """Far data of a disk of radius 0.2 with every value times factor."""
+    data = tmp_path / "data"
+    if not data.exists():
+        cfg = _write(tmp_path / "disk.txt", "shape = disk 0 0 0.2 nsq 2\nincidents = 0\nfar.count = 16\n")
+        assert main(["synthesize", "--config", cfg, "--outdir", str(data)]) == 0
+    header, *rows = (data / "custom_far_inc0_eps0.csv").read_text().splitlines()
+    scaled = [header]
+    for row in rows:
+        theta, re_part, im_part = row.split(",")
+        scaled.append(f"{theta},{float(re_part) * factor!r},{float(im_part) * factor!r}")
+    return _write(tmp_path / f"far_{factor:g}.csv", "\n".join(scaled) + "\n")
 
 
 def test_parse_config_basics():
@@ -208,6 +231,91 @@ def test_image_rejects_bad_sample_files(tmp_path, capsys):
         capsys.readouterr()
         assert main(["image", "--data", str(bad), "--outdir", str(tmp_path / "img")]) == 2, text
         assert str(bad) in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e300])
+def test_image_of_data_at_extreme_magnitude(tmp_path, factor):
+    img_cfg = _write(tmp_path / "img.txt", "grid.h = 0.05\n")
+
+    def image(tag, data):
+        out = tmp_path / tag
+        rc, caught = _main_recording_warnings(["image", "--config", img_cfg, "--data", data, "--outdir", str(out)])
+        assert rc == 0 and caught == []
+        return np.loadtxt(out / "indicator_far.csv", delimiter=",", skiprows=2)[:, 2]
+
+    reference = image("one", _scaled_far_file(tmp_path, 1.0))
+    assert np.max(np.abs(image("scaled", _scaled_far_file(tmp_path, factor)) - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["zero-data", "grid-past-circle"])
+def test_failed_image_leaves_no_outdir(tmp_path, capsys, case):
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
+    near = tmp_path / "data" / "ex1_near_inc0_eps0.csv"
+    img_cfg = _write(tmp_path / "img.txt", "grid.h = 0.5\n")
+    if case == "zero-data":
+        header, *rows = near.read_text().splitlines()
+        near.write_text("\n".join([header] + [row.rsplit(",", 2)[0] + ",0,0" for row in rows]) + "\n")
+    else:
+        img_cfg = _write(tmp_path / "img.txt", "grid.min = -5\ngrid.max = 5\ngrid.h = 0.5\n")
+    out = tmp_path / "img"
+    capsys.readouterr()
+    assert main(["image", "--config", img_cfg, "--data", str(near), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, named", [
+    ("synthesize", "incidents = inf", "key 'incidents'"),
+    ("synthesize", "incidents = 0, nan", "key 'incidents'"),
+    ("synthesize", "near.radius = inf", "key 'near.radius'"),
+    ("image", "grid.h = nan", "key 'grid.h'"),
+    ("image", "grid.min = -inf", "key 'grid.min'"),
+    ("image", "k = inf", "key 'k'"),
+], ids=["incidents-inf", "incidents-nan", "near-radius-inf", "grid-h-nan", "grid-min-minus-inf", "image-k-inf"])
+def test_non_finite_config_numbers_name_the_key(tmp_path, capsys, command, line, named):
+    cfg = _write(tmp_path / "cfg.txt", f"scenario = ex1\n{line}\n")
+    argv = ["synthesize", "--config", cfg]
+    if command == "image":
+        assert main(["synthesize", "--config", _write(tmp_path / "ex1.txt", "scenario = ex1\n"),
+                     "--outdir", str(tmp_path / "data")]) == 0
+        argv = ["image", "--config", cfg, "--data", str(tmp_path / "data" / "ex1_far_inc0_eps0.csv")]
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings([*argv, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith(f"error: {named}: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, row, text", [
+    ("far", 2, "inf,0.1,0.2"),
+    ("far", 3, "90,0.1,-inf"),
+    ("near", 2, "4,0,0.1,-inf"),
+    ("far", 0, "# kind=far k=6.2831853 incident_deg=inf"),
+], ids=["far-angle-inf", "far-value-inf", "near-value-inf", "incident-inf"])
+def test_non_finite_sample_rows_name_the_file(tmp_path, capsys, kind, row, text):
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
+    lines = (tmp_path / "data" / f"ex1_{kind}_inc0_eps0.csv").read_text().splitlines()
+    lines[row] = text
+    bad = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings(["image", "--data", bad, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["umask-022", "umask-002"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        atomic_write(str(tmp_path / "out.txt"), "text\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
 
 
 def test_verify_default_passes(tmp_path):

@@ -1,3 +1,4 @@
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from dsmscat.forward import discretize, scattered_far, solve_lippmann_schwinger
 from dsmscat.kernels import WaveContext, green, green_farfield
 from dsmscat.measurement import FieldSamples, far_angles, near_circle_geometry
 from dsmscat.scenarios import build
-from dsmscat.special import _miller_jn, bessel_j
+from dsmscat.special import _miller_jn, bessel_j, bessel_y
 
 CTX = WaveContext(k=2.0 * np.pi)
 D1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -137,6 +138,18 @@ def test_indicators_reject_zero_data():
     grid = SamplingGrid(xmin=-1, xmax=1, ymin=-1, ymax=1, h=0.5)
     with pytest.raises(DegenerateDataError):
         indicator_grid(CTX, zero_far, grid)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 1000], ids=["2^-1000", "2^1000"])
+def test_extreme_data_magnitudes_give_the_same_indicator(scale):
+    # ||u|| of the scaled data would under- or overflow; the indicator ignores the scale
+    grid = SamplingGrid(xmin=-1, xmax=1, ymin=-1, ymax=1, h=0.1)
+    point = np.array([0.3, 0.1])
+    for data in (_far_point_source([0.3, -0.2]), _near_point_source([-0.4, 0.1])):
+        scaled = FieldSamples(kind=data.kind, locations=data.locations, values=scale * data.values, incident=D1)
+        np.testing.assert_array_equal(indicator_grid(CTX, scaled, grid).values,
+                                      indicator_grid(CTX, data, grid).values)
+        assert indicator_values(CTX, scaled, point) == indicator_values(CTX, data, point)
 
 
 def test_far_denominator_is_constant_across_nodes():
@@ -450,6 +463,44 @@ def test_graf_j_rows_below_the_argument(kr_big, reference, tol):
     else:
         expected = pytest.importorskip("scipy.special").jv(np.arange(order + 1), kr_big)
     assert np.max(np.abs(hankel.real - expected)) <= tol * np.sqrt(2.0 / (np.pi * kr_big))
+
+
+def _graf_hankel_by_scalar_loops(kr_big, kr_max):
+    """The Graf rows by scalar loops: Y_m upward until |Y_m| passes the cap,
+    about kR steps, and J_m upward below kR, else from a Miller sweep."""
+    y = [bessel_y(0, kr_big), bessel_y(1, kr_big)]
+    while abs(y[-1]) <= indicators._GRAF_CAP:
+        y.append(2.0 * (len(y) - 1) / kr_big * y[-1] - y[-2])
+    y = np.array(y[:-1])
+    order = indicators._graf_order(np.log(np.abs(y) + 1.0), kr_max, kr_big)
+    if order < 0:
+        return None
+    if order < kr_big:
+        j = [bessel_j(0, kr_big), bessel_j(1, kr_big)]
+        for m in range(1, order):
+            j.append(2.0 * m / kr_big * j[-1] - j[-2])
+        j = np.array(j[:order + 1])
+    else:
+        j = _miller_jn(order, np.array([kr_big]))[:, 0]
+    return j + 1j * y[:order + 1]
+
+
+def test_graf_rows_equal_the_scalar_loops_in_about_m_steps():
+    outcomes = []
+    for kr_big in np.geomspace(0.01, 2e3, 31):
+        for ratio in (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5):
+            fast = _graf_hankel(kr_big, ratio * kr_big)
+            slow = _graf_hankel_by_scalar_loops(kr_big, ratio * kr_big)
+            if slow is None:
+                assert fast is None, (kr_big, ratio)
+                outcomes.append("none")
+            else:
+                assert fast.tobytes() == slow.tobytes(), (kr_big, ratio)
+                outcomes.append("miller" if len(slow) - 1 >= kr_big else "upward")
+    assert {name: outcomes.count(name) for name in set(outcomes)} == {"none": 169, "upward": 82, "miller": 121}
+    # a far receiver circle: 48 orders kept, where |Y_m| passes the cap only past m = 6e5
+    seconds = min(timeit.repeat(lambda: _graf_hankel(2e5 * np.pi, 4.0 * np.pi * np.sqrt(2.0)), number=1, repeat=3))
+    assert seconds < 0.02
 
 
 def test_grid_fallbacks_equal_the_dense_kernel():
