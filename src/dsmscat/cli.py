@@ -67,12 +67,17 @@ _NEAR_RADIUS_WAVELENGTHS = 4.0
 _NEAR_COUNT = 50
 _FAR_COUNT = 50
 _CELLS_PER_WAVELENGTH = 50
+# receivers x cells of one sample kind: bounds the (receivers, cells)
+# arrays that scattered_near and scattered_far build
+_MAX_RECEIVER_CELLS = 1 << 22
 
 
 def atomic_write(path: str, payload) -> None:
-    """Write bytes or text to path via a temp file in the same directory."""
+    """Write bytes or text to path via a temp file in the same directory,
+    making that directory first: no command makes one before its first file."""
     data = payload.encode() if isinstance(payload, str) else payload
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dsmscat-")
     try:
         umask = os.umask(0)
@@ -294,12 +299,20 @@ def _write_image(ctx, data, grid, outdir):
     """Image FieldSamples of one kind, combined by nodewise maximum, and write
     indicator_<kind>.csv and .ppm; returns the combined grid and the paths."""
     combined = combine_max([indicator_grid(ctx, samples, grid) for samples in data])
-    os.makedirs(outdir, exist_ok=True)  # only now, so a failed image leaves no directory
     csv_path, ppm_path = (os.path.join(outdir, f"indicator_{data[0].kind}.{ext}")
                           for ext in ("csv", "ppm"))
     write_indicator_csv(csv_path, combined)
     write_heatmap_ppm(ppm_path, combined)
     return combined, [csv_path, ppm_path]
+
+
+def _receivers(key: str, count: int, cells: int, layout, *args) -> np.ndarray:
+    """layout(*args, count), the receivers of one sample kind, once count x
+    cells is within _MAX_RECEIVER_CELLS; errors name the config key."""
+    if count * cells > _MAX_RECEIVER_CELLS:
+        raise ConfigError(f"key {key!r}: {count} receivers x {cells} cells exceed "
+                          f"the supported {_MAX_RECEIVER_CELLS} receiver-cell pairs")
+    return _named(f"key {key!r}", layout, *args, count)
 
 
 def cmd_synthesize(args) -> int:
@@ -309,15 +322,15 @@ def cmd_synthesize(args) -> int:
     incidents = _resolve_incidents(cfg, preset_incidents)
     near_radius = _value(cfg, "near.radius", _finite, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
     _named("key 'near.radius'", near_circle_geometry, ctx, near_radius, 1)  # the radius rule alone
-    near_pts = _named("key 'near.count'", near_circle_geometry, ctx, near_radius,
-                      _value(cfg, "near.count", int, _NEAR_COUNT))
-    far_dirs = _named("key 'far.count'", far_angles, _value(cfg, "far.count", int, _FAR_COUNT))
+    near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
+    far_count = _value(cfg, "far.count", int, _FAR_COUNT)
     epsilons = _value(cfg, "noise.epsilon",
                       lambda raw: [NoiseSpec(epsilon=e, seed=0).epsilon for e in _float_list(raw)],
                       [0.0])
     seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
     cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
-    os.makedirs(args.outdir, exist_ok=True)
+    near_pts = _receivers("near.count", near_count, len(cells), near_circle_geometry, ctx, near_radius)
+    far_dirs = _receivers("far.count", far_count, len(cells), far_angles)
     paths, _ = _write_samples(ctx, args.outdir, label, cells, incidents, epsilons, seed,
                               near_pts, far_dirs)
     print("\n".join(paths))
@@ -371,8 +384,6 @@ def cmd_verify(args) -> int:
     lines = [f"{name} {figure}={value:.3e} tolerance={tol:g} "
              f"{'FAIL' if name in failures else 'PASS'}" for name, figure, value, tol in checks]
     lines.append("overall " + ("PASS" if not failures else "FAIL: " + ", ".join(failures)))
-
-    os.makedirs(args.outdir, exist_ok=True)
     report_path = os.path.join(args.outdir, "verify_report.txt")
     atomic_write(report_path, "\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -389,7 +400,6 @@ def cmd_reproduce(args) -> int:
     ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
     cells = discretize(ctx, scenario.shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
-    os.makedirs(args.outdir, exist_ok=True)
     near_pts = near_circle_geometry(ctx, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength, _NEAR_COUNT)
     _, data = _write_samples(ctx, args.outdir, scenario.name, cells, scenario.incidents,
                              epsilons, args.seed, near_pts, far_angles(_FAR_COUNT))

@@ -23,6 +23,10 @@ from .kernels import WaveContext, green, green_farfield, _check_direction
 from .special import _miller_jn, _upward_rows, hankel1
 
 MAX_CELLS = 5000
+# lattice points discretize lays before it keeps the cells inside the
+# shapes: 2^22, a 2048 x 2048 square, so shapes about 40 wavelengths apart
+# at lambda/50; a synthesize run at the bound peaks at 326 MiB resident
+MAX_LATTICE_POINTS = 1 << 22
 
 # geometry fields of each shape kind, in the order a config ``shape`` line
 # gives them; all are positive lengths except the bar's angle
@@ -161,7 +165,14 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
     los, his = zip(*(s.bounding_box() for s in shapes))
     lo = np.min(los, axis=0)
     hi = np.max(his, axis=0)
-    counts = np.maximum(np.ceil((hi - lo) / h_fwd - 1e-12).astype(int), 1)
+    with np.errstate(over="ignore"):  # an infinite count is refused below, before any cast
+        counts = np.maximum(np.ceil((hi - lo) / h_fwd - 1e-12), 1.0)
+    if not float(counts[0]) * float(counts[1]) <= MAX_LATTICE_POINTS:
+        raise DiscretizationError(
+            f"the cell lattice of pitch {h_fwd:.3g} over the shapes' {hi[0] - lo[0]:.3g} x "
+            f"{hi[1] - lo[1]:.3g} bounding box would hold {counts[0]:.4g} x {counts[1]:.4g} points, "
+            f"above the supported {MAX_LATTICE_POINTS}")
+    counts = counts.astype(int)
     xs = lo[0] + (np.arange(counts[0]) + 0.5) * h_fwd
     ys = lo[1] + (np.arange(counts[1]) + 0.5) * h_fwd
     gx, gy = np.meshgrid(xs, ys)

@@ -92,13 +92,17 @@ class IndicatorGrid:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
 
+def _check_inside(data: FieldSamples, r: np.ndarray) -> None:
+    """Raise unless every radius r lies strictly inside the near data's circle."""
+    if np.any(r >= data.radius - 1e-12):
+        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+
+
 def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndarray:
     """Receivers x points matrix of G_inf (far data) or G (near data)."""
     if data.kind == "far":
         return green_farfield(ctx, data.locations[:, None, :], points[None, :, :])
-    r = np.sqrt(np.sum(points**2, axis=1))
-    if np.any(r >= data.radius - 1e-12):
-        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+    _check_inside(data, np.sqrt(np.sum(points**2, axis=1)))
     return green(ctx, data.locations[:, None, :], points[None, :, :])
 
 
@@ -153,16 +157,6 @@ _GRAF_CAP = 1e250
 # J_m values per block of sampling nodes (orders x nodes), so a block's
 # arrays stay a few megabytes whatever the order count.
 _GRAF_BLOCK = 1 << 19
-
-
-def _receiver_phase(data: FieldSamples):
-    """phi_0 when the receivers sit at phi_0 + 2 pi j / n, j = 0..n-1, on
-    their circle (to rounding), else None."""
-    radius, count = data.radius, len(data.values)
-    phi0 = float(np.arctan2(data.locations[0, 1], data.locations[0, 0]))
-    phi = phi0 + 2.0 * np.pi * np.arange(count) / count
-    ideal = radius * np.column_stack([np.cos(phi), np.sin(phi)])
-    return phi0 if np.max(np.abs(data.locations - ideal)) <= 1e-14 * radius else None
 
 
 def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
@@ -228,9 +222,10 @@ def _aliased_norms(hj: np.ndarray, unit: np.ndarray, count: int, theta: np.ndarr
 
 
 def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid,
-                           r: np.ndarray, phi0: float, hankel: np.ndarray) -> np.ndarray:
-    """_correlation of near data from receivers at phi_0 + 2 pi j / n on the
-    circle of radius R, by Graf's addition theorem (DLMF 10.23.7).
+                           r: np.ndarray, hankel: np.ndarray) -> np.ndarray:
+    """_correlation of near data from receivers at phi_0 + 2 pi j / n
+    (phi_0 = data.phase) on the circle of radius R, by Graf's addition
+    theorem (DLMF 10.23.7).
 
     With y = r e^{i theta}, z = e^{i(theta - phi_0)} and U the DFT of u,
     H0(k|x_j - y|) = sum_m H_m(kR) J_m(kr) e^{im(phi_j - theta)} gives
@@ -261,7 +256,7 @@ def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingG
         hj = _miller_jn(top, ctx.k * r[nodes])
         hj *= size[:top + 1, None]
         iy, ix = np.divmod(nodes, grid.shape[1])
-        theta = np.arctan2(grid.ys[iy], grid.xs[ix]) - phi0
+        theta = np.arctan2(grid.ys[iy], grid.xs[ix]) - data.phase
         z = np.exp(1j * theta)
         acc = np.zeros((2, nodes.size), dtype=complex)
         for m in range(top, 0, -1):  # Horner's rule in z
@@ -279,12 +274,10 @@ def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) 
     if data.kind == "far":
         return _far_grid_correlation(ctx, data, grid)
     r = np.sqrt(grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2).ravel()
-    if np.any(r >= data.radius - 1e-12):
-        raise EvaluationPointError("sampling point not strictly inside the measurement circle")
-    phi0 = _receiver_phase(data)
-    hankel = None if phi0 is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
+    _check_inside(data, r)
+    hankel = None if data.phase is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
     if hankel is not None:
-        return _near_grid_correlation(ctx, data, grid, r, phi0, hankel)
+        return _near_grid_correlation(ctx, data, grid, r, hankel)
     return _correlation(data, _kernel(ctx, data, grid.nodes())).reshape(grid.shape)
 
 

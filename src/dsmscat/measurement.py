@@ -1,5 +1,9 @@
 """Measurement geometries and the additive noise protocol.
 
+Each ``FieldSamples`` decides its receiver layout once: the radius R of
+its circle and, when the samples sit at phi_0 + 2 pi j / n to within
+1e-14 R, the phase phi_0.  Imaging reads both and works neither out again.
+
 Noise model: u_noisy = u + epsilon * zeta_j * max_j |u_j| where the real
 and imaginary parts of zeta_j are independent standard normal draws.
 
@@ -16,7 +20,7 @@ under a shared seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +40,8 @@ class FieldSamples:
     locations: np.ndarray  # (n, 2)
     values: np.ndarray  # (n,) complex
     incident: np.ndarray  # (2,)
+    radius: float = field(init=False)  # R, 1 for far directions
+    phase: float | None = field(init=False)  # phi_0 of equispaced samples, else None
 
     def __post_init__(self):
         if self.kind not in ("near", "far"):
@@ -50,18 +56,20 @@ class FieldSamples:
             raise ValueError("samples must be nonempty")
         if not (np.all(np.isfinite(locations)) and np.all(np.isfinite(values))):
             raise ValueError("sample locations and values must be finite")
-        radii = np.sqrt(np.sum(locations**2, axis=1))
-        radius = 1.0 if self.kind == "far" else radii[0]  # all radii within 1e-12 relative
+        radii = np.hypot(locations[:, 0], locations[:, 1])
+        radius = 1.0 if self.kind == "far" else float(radii[0])  # all radii within 1e-12 relative
         if np.max(np.abs(radii - radius)) > 1e-12 * radius:
             raise ValueError("far locations must be unit directions" if self.kind == "far"
                              else "near locations must lie on one circle")
+        phi0 = float(np.arctan2(locations[0, 1], locations[0, 0]))
+        phi = phi0 + 2.0 * np.pi * np.arange(len(values)) / len(values)
+        ideal = radius * np.column_stack([np.cos(phi), np.sin(phi)])
+        equispaced = np.max(np.abs(locations - ideal)) <= 1e-14 * radius
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "incident", _check_direction(np.asarray(self.incident, dtype=float), 2))
-
-    @property
-    def radius(self) -> float:
-        return float(np.sqrt(np.sum(self.locations[0] ** 2)))
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "phase", phi0 if equispaced else None)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import os
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -293,7 +294,8 @@ def test_non_finite_config_numbers_name_the_key(tmp_path, capsys, command, line,
     ("far", 3, "90,0.1,-inf"),
     ("near", 2, "4,0,0.1,-inf"),
     ("far", 0, "# kind=far k=6.2831853 incident_deg=inf"),
-], ids=["far-angle-inf", "far-value-inf", "near-value-inf", "incident-inf"])
+    ("near", 3, "1e300,0,0.1,0.2"),  # finite, but its square overflows: radii come from hypot
+], ids=["far-angle-inf", "far-value-inf", "near-value-inf", "incident-inf", "near-x-1e300"])
 def test_non_finite_sample_rows_name_the_file(tmp_path, capsys, kind, row, text):
     cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
     assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
@@ -306,6 +308,47 @@ def test_non_finite_sample_rows_name_the_file(tmp_path, capsys, kind, row, text)
     assert rc == 2 and caught == []
     assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def _refused_synthesize(tmp_path, capsys, text):
+    """Run synthesize on config text expecting exit 2 with no warning and
+    no output directory; returns its one error line."""
+    cfg = _write(tmp_path / "cfg.txt", text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings(["synthesize", "--config", cfg, "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+    return err
+
+
+def test_solver_cell_cap_leaves_no_outdir(tmp_path, capsys):
+    err = _refused_synthesize(tmp_path, capsys, "shape = disk 0 0 1.5 nsq 1.5\nincidents = 0\n")
+    assert "cell count 17692 exceeds the supported 5000" in err
+
+
+@pytest.mark.parametrize("k, material, points", [
+    ("1e6", "nsq", "3.183e+06 x 3.183e+06"),
+    ("3000", "nsq", "9550 x 9550"),
+    ("1e200", "eta", "3.183e+200 x 3.183e+200"),
+    ("1e200", "nsq", "3.183e+200 x 3.183e+200"),
+], ids=["k-1e6", "k-3000", "k-1e200-eta", "k-1e200-nsq"])
+def test_oversized_cell_lattice_is_refused_before_it_is_built(tmp_path, capsys, k, material, points):
+    start = time.perf_counter()
+    err = _refused_synthesize(tmp_path, capsys, f"shape = disk 0 0 0.2 {material} 1.5\nincidents = 0\nk = {k}\n")
+    assert time.perf_counter() - start < 1.0
+    assert f"would hold {points} points, above the supported 4194304" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("near.count = 3000000", "near.count"),
+    ("far.count = 100000000", "far.count"),
+], ids=["near-count", "far-count"])
+def test_receiver_counts_are_bounded_by_the_cells(tmp_path, capsys, line, key):
+    err = _refused_synthesize(tmp_path, capsys, f"shape = disk 0 0 0.2 nsq 1.5\nincidents = 0\n{line}\n")
+    assert err.startswith(f"error: key {key!r}: {line.split()[-1]} receivers x 316 cells exceed")
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["umask-022", "umask-002"])

@@ -67,6 +67,27 @@ def test_field_samples_validation():
     assert s.radius == pytest.approx(4.0)
 
 
+def test_field_samples_measure_their_layout_once():
+    phi = 0.37 + 2.0 * np.pi * np.arange(50) / 50
+    ring = 3.0 * np.column_stack([np.cos(phi), np.sin(phi)])
+    s = FieldSamples(kind="near", locations=ring, values=np.ones(50), incident=D1)
+    assert (s.radius, s.phase) == pytest.approx((3.0, 0.37), rel=1e-15)
+    assert add_noise(s, NoiseSpec(epsilon=0.1, seed=1)).phase == s.phase
+    turned = ring.copy()
+    turned[7] = 3.0 * np.array([np.cos(phi[7] + 1e-9), np.sin(phi[7] + 1e-9)])  # same circle
+    uneven = FieldSamples(kind="near", locations=turned, values=np.ones(50), incident=D1)
+    assert uneven.radius == s.radius and uneven.phase is None
+    far = FieldSamples(kind="far", locations=far_angles(50), values=np.ones(50), incident=D1)
+    assert (far.radius, far.phase) == (1.0, 0.0)
+
+
+def test_huge_receiver_coordinate_is_refused_without_overflow():
+    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts[3, 0] = 1e300
+    with pytest.raises(ValueError, match="one circle"):  # a RuntimeWarning would fail here too
+        FieldSamples(kind="near", locations=pts, values=np.ones(50), incident=D1)
+
+
 @pytest.mark.parametrize("radius", [1e4, 1e5])
 def test_field_samples_accept_large_receiver_circles(radius):
     # the rounding of x and y alone spreads the radii by more than 1e-12 here

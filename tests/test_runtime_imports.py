@@ -59,3 +59,29 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _makedirs_owners(path):
+    """Names of the functions that call os.makedirs in a module ("<module>"
+    for a call outside every function)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "makedirs"):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_only_atomic_write_makes_directories():
+    # a command that made its output directory itself could leave it empty
+    # when a later step fails; atomic_write makes it with the first file
+    owners = {path.name: _makedirs_owners(path) for path in SOURCES}
+    assert {name: found for name, found in owners.items() if found} == {"cli.py": ["atomic_write"]}
