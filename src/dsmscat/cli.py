@@ -281,9 +281,9 @@ def _write_samples(ctx, outdir, label, cells, incidents, epsilons, seed, near_pt
         current = solve_lippmann_schwinger(ctx, cells, direction)
         clean = (
             FieldSamples(kind="near", locations=near_pts,
-                         values=scattered_near(ctx, cells, current, near_pts), incident=direction),
+                         values=scattered_near(ctx, current, near_pts), incident=direction),
             FieldSamples(kind="far", locations=far_dirs,
-                         values=scattered_far(ctx, cells, current, far_dirs), incident=direction),
+                         values=scattered_far(ctx, current, far_dirs), incident=direction),
         )
         for samples in clean:
             for eps in epsilons:
@@ -321,7 +321,7 @@ def cmd_synthesize(args) -> int:
     label, shapes, preset_incidents = _resolve_scatterer(cfg)
     incidents = _resolve_incidents(cfg, preset_incidents)
     near_radius = _value(cfg, "near.radius", _finite, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
-    _named("key 'near.radius'", near_circle_geometry, ctx, near_radius, 1)  # the radius rule alone
+    _named("key 'near.radius'", near_circle_geometry, near_radius, 1)  # the radius rule alone
     near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
     far_count = _value(cfg, "far.count", int, _FAR_COUNT)
     epsilons = _value(cfg, "noise.epsilon",
@@ -329,7 +329,7 @@ def cmd_synthesize(args) -> int:
                       [0.0])
     seed = args.seed if args.seed is not None else _value(cfg, "noise.seed", int, 0)
     cells = discretize(ctx, shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
-    near_pts = _receivers("near.count", near_count, len(cells), near_circle_geometry, ctx, near_radius)
+    near_pts = _receivers("near.count", near_count, len(cells), near_circle_geometry, near_radius)
     far_dirs = _receivers("far.count", far_count, len(cells), far_angles)
     paths, _ = _write_samples(ctx, args.outdir, label, cells, incidents, epsilons, seed,
                               near_pts, far_dirs)
@@ -366,7 +366,7 @@ def _verify_disk_oracle() -> float:
     cells = discretize(ctx, [disk], ctx.wavelength / 40.0)
     current = solve_lippmann_schwinger(ctx, cells, d)
     dirs = far_angles(50)
-    numeric = scattered_far(ctx, cells, current, dirs)
+    numeric = scattered_far(ctx, current, dirs)
     exact = disk_series_farfield(ctx, 0.3, 1.5, d, dirs)
     return float(np.linalg.norm(numeric - exact) / np.linalg.norm(exact))
 
@@ -375,7 +375,7 @@ def cmd_verify(args) -> int:
     checks = []  # (name, figure, value, tolerance); a check passes when value <= tolerance
     for dim in (2, 3) if args.dim is None else (args.dim,):
         nquad = args.nquad if args.nquad is not None else (512 if dim == 2 else 64)
-        report = lemma_sweep(WaveContext(k=_K, dim=dim), rmax=4.0 if dim == 2 else 2.0,
+        report = lemma_sweep(WaveContext(k=_K), dim, rmax=4.0 if dim == 2 else 2.0,
                              npairs=args.pairs, nquad=nquad, seed=args.seed)
         checks.append((f"lemma dim={dim}", f"nquad={nquad} pairs={args.pairs} max_error",
                        report.max_error, _LEMMA_TOL))
@@ -400,7 +400,7 @@ def cmd_reproduce(args) -> int:
     ctx = WaveContext(k=_K)
     epsilons = [0.0] if args.epsilon == 0.0 else [0.0, args.epsilon]
     cells = discretize(ctx, scenario.shapes, ctx.wavelength / _CELLS_PER_WAVELENGTH)
-    near_pts = near_circle_geometry(ctx, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength, _NEAR_COUNT)
+    near_pts = near_circle_geometry(_NEAR_RADIUS_WAVELENGTHS * ctx.wavelength, _NEAR_COUNT)
     _, data = _write_samples(ctx, args.outdir, scenario.name, cells, scenario.incidents,
                              epsilons, args.seed, near_pts, far_angles(_FAR_COUNT))
     report = [

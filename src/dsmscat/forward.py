@@ -141,9 +141,8 @@ class CellGrid:
     """Uniform square cells covering the scatterer support."""
 
     centers: np.ndarray  # (n, 2)
-    areas: np.ndarray  # (n,)
     eta: np.ndarray  # (n,) complex
-    h_fwd: float
+    h_fwd: float  # every cell's side, so its area is h_fwd * h_fwd
 
     def __len__(self):
         return len(self.centers)
@@ -195,13 +194,7 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
             f"(wavelength {ctx.wavelength:.3g}) exceeds the shapes")
     if np.all(eta[hit] == 0):
         raise DiscretizationError("all shapes have zero contrast (no scatterer)")
-    centers = pts[hit]
-    return CellGrid(
-        centers=centers,
-        areas=np.full(len(centers), h_fwd * h_fwd),
-        eta=eta[hit],
-        h_fwd=h_fwd,
-    )
+    return CellGrid(centers=pts[hit], eta=eta[hit], h_fwd=h_fwd)
 
 
 @dataclass(frozen=True)
@@ -224,8 +217,6 @@ def _self_term(ctx: WaveContext, h_fwd: float) -> complex:
 
 def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurrent:
     """Solve the scattering collocation system for incident direction d."""
-    if ctx.dim != 2:
-        raise ValueError("the forward solver is two-dimensional")
     n = len(grid)
     if n == 0:
         raise DiscretizationError("empty cell grid")
@@ -236,7 +227,7 @@ def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurr
     diff = grid.centers[:, None, :] - grid.centers[None, :, :]
     r = np.sqrt(np.sum(diff**2, axis=-1))
     np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    a = 0.25j * hankel1(0, ctx.k * r) * grid.areas[None, :]
+    a = 0.25j * hankel1(0, ctx.k * r) * (grid.h_fwd * grid.h_fwd)
     np.fill_diagonal(a, _self_term(ctx, grid.h_fwd))
 
     u_inc = np.exp(1j * ctx.k * grid.centers @ d)
@@ -255,25 +246,27 @@ def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurr
     return InducedCurrent(values=grid.eta * u, total_field=u, incident=d, grid=grid)
 
 
-def scattered_near(ctx: WaveContext, grid: CellGrid, current: InducedCurrent, x):
+def scattered_near(ctx: WaveContext, current: InducedCurrent, x):
     """Scattered field at point(s) x outside the scatterer support."""
+    grid = current.grid
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     dists = np.sqrt(np.sum((pts[:, None, :] - grid.centers[None, :, :]) ** 2, axis=-1))
     if np.any(dists <= grid.h_fwd / 2.0):
         raise EvaluationPointError("evaluation point inside the scatterer support")
-    weights = current.values * grid.areas
+    weights = current.values * (grid.h_fwd * grid.h_fwd)
     vals = green(ctx, pts[:, None, :], grid.centers[None, :, :]) @ weights
     return complex(vals[0]) if single else vals
 
 
-def scattered_far(ctx: WaveContext, grid: CellGrid, current: InducedCurrent, xhat):
+def scattered_far(ctx: WaveContext, current: InducedCurrent, xhat):
     """Far-field pattern at observation direction(s) xhat."""
+    grid = current.grid
     dirs = np.asarray(xhat, dtype=float)
     single = dirs.ndim == 1
     dirs = np.atleast_2d(dirs)
-    weights = current.values * grid.areas
+    weights = current.values * (grid.h_fwd * grid.h_fwd)
     vals = green_farfield(ctx, dirs[:, None, :], grid.centers[None, :, :]) @ weights
     return complex(vals[0]) if single else vals
 
@@ -286,8 +279,6 @@ def disk_series_farfield(ctx: WaveContext, radius: float, nsq, d, angles):
     complex-argument Bessel functions, which this package does not
     provide).  Output follows u^s ~ e^{ik r}/sqrt(r) u_inf.
     """
-    if ctx.dim != 2:
-        raise ValueError("disk series is two-dimensional")
     if not radius > 0:
         raise ValueError("radius must be positive")
     nsq = complex(nsq)
@@ -339,18 +330,19 @@ class RingCauchyData:
     radius: float
 
 
-def ring_cauchy(ctx: WaveContext, grid: CellGrid, current: InducedCurrent,
+def ring_cauchy(ctx: WaveContext, current: InducedCurrent,
                 radius: float = 5.0, count: int = 51) -> RingCauchyData:
     """Evaluate scattered Cauchy data (value and radial derivative) on a circle."""
+    grid = current.grid
     theta = 2.0 * np.pi * np.arange(count) / (count - 1)
     nu = np.column_stack([np.cos(theta), np.sin(theta)])
     pts = radius * nu
-    values = scattered_near(ctx, grid, current, pts)
+    values = scattered_near(ctx, current, pts)
     diff = pts[:, None, :] - grid.centers[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     # d/dnu (i/4) H0(k r) = -(ik/4) H1(k r) * ((x - y) . nu)/r
     proj = np.sum(diff * nu[:, None, :], axis=-1) / dist
-    weights = current.values * grid.areas
+    weights = current.values * (grid.h_fwd * grid.h_fwd)
     derivs = (-0.25j * ctx.k * hankel1(1, ctx.k * dist) * proj) @ weights
     return RingCauchyData(points=pts, values=values, normal_derivs=derivs, radius=radius)
 

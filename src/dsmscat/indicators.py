@@ -127,8 +127,6 @@ def indicator_values(ctx: WaveContext, data: FieldSamples, points):
     """Indicator of near or far data (by data.kind) at one point or at each
     row of an (n, 2) array; near-data points must lie strictly inside the
     measurement circle."""
-    if ctx.dim != 2:
-        raise ValueError("imaging is two-dimensional")
     pts = np.asarray(points, dtype=float)
     values = _correlation(data, _kernel(ctx, data, np.atleast_2d(pts)))
     return float(values[0]) if pts.ndim == 1 else values
@@ -283,8 +281,6 @@ def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:
     """Evaluate the indicator at every node and rescale so the max is 1."""
-    if ctx.dim != 2:
-        raise ValueError("imaging is two-dimensional")
     raw = _grid_correlation(ctx, data, grid)
     top = raw.max()
     if top == 0.0:
@@ -308,8 +304,7 @@ class Component:
     """One 4-connected superlevel component."""
 
     indices: np.ndarray  # (m, 2) int rows of (iy, ix), row-major
-    points: np.ndarray  # (m, 2) node coordinates
-    centroid: np.ndarray  # (2,)
+    centroid: np.ndarray  # (2,) mean of the node coordinates
     lo: np.ndarray  # bounding box min corner (x, y)
     hi: np.ndarray  # bounding box max corner (x, y)
 
@@ -333,7 +328,8 @@ def superlevel_components(grid: IndicatorGrid, cutoff: float):
     row-major: each round hooks the larger root of every edge under the
     smaller one and then points every node at its root's root, until both
     ends of every edge share a root, which is then the first node of their
-    component.  A component's indices and points come in row-major order.
+    component.  A component's indices come in row-major order, and its
+    centroid is the mean of its node coordinates taken in that order.
     """
     check_cutoff(cutoff)
     mask = grid.values >= cutoff
@@ -355,6 +351,6 @@ def superlevel_components(grid: IndicatorGrid, cutoff: float):
     cuts = np.cumsum(sizes)[:-1]
     indices = np.split(np.column_stack([iy, ix])[by_root], cuts)
     points = np.split(np.column_stack([grid.grid.xs[ix], grid.grid.ys[iy]])[by_root], cuts)
-    return [Component(indices=indices[c], points=points[c], centroid=points[c].mean(axis=0),
+    return [Component(indices=indices[c], centroid=points[c].mean(axis=0),
                       lo=points[c].min(axis=0), hi=points[c].max(axis=0))
             for c in np.argsort(-sizes, kind="stable")]

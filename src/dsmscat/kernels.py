@@ -34,16 +34,15 @@ _DIRECTION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Wavenumber and spatial dimension shared by every computation."""
+    """Wavenumber shared by every computation; points carry the dimension."""
 
     k: float
-    dim: int = 2
 
     def __post_init__(self):
         if not 0 < self.k < np.inf:
             raise ValueError("wavenumber k must be finite and positive")
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+        if 2.0 * np.pi / float(self.k) == np.inf:
+            raise ValueError(f"wavenumber k = {self.k:g} is so small that the wavelength 2 pi / k overflows")
 
     @property
     def wavelength(self) -> float:
@@ -54,6 +53,13 @@ def _pairwise_distance(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+
+
+def _dimension(points) -> int:
+    """2 or 3, the length of the coordinate axis of points."""
+    if np.shape(points)[-1] not in (2, 3):
+        raise ValueError(f"points have {np.shape(points)[-1]} coordinates, expected 2 or 3")
+    return np.shape(points)[-1]
 
 
 def _check_direction(xhat, dim):
@@ -76,7 +82,7 @@ def green(ctx: WaveContext, x, y):
     if np.any(r == 0.0):
         raise ValueError("green is singular at coincident points")
     kr = ctx.k * np.atleast_1d(r)
-    if ctx.dim == 2:
+    if _dimension(x) == 2:
         val = 0.25j * _bessel01(0, kr)
     else:
         val = np.exp(1j * kr) / (4.0 * np.pi * kr)
@@ -85,10 +91,10 @@ def green(ctx: WaveContext, x, y):
 
 def green_farfield(ctx: WaveContext, xhat, y):
     """Far-field pattern of G for observation direction(s) xhat and source(s) y."""
-    xhat = _check_direction(xhat, ctx.dim)
+    xhat = _check_direction(xhat, _dimension(xhat))
     y = np.asarray(y, dtype=float)
     phase = np.exp(-1j * ctx.k * np.sum(xhat * y, axis=-1))
-    if ctx.dim == 2:
+    if xhat.shape[-1] == 2:
         pref = np.exp(1j * np.pi / 4.0) / np.sqrt(8.0 * ctx.k * np.pi)
     else:
         pref = 1.0 / (4.0 * np.pi)
@@ -116,7 +122,7 @@ def _sphere_rule(nquad: int):
 
 
 def farfield_correlation(ctx: WaveContext, xj, xp, nquad: int = 512):
-    """Numerically integrate G_inf(., xj) conj(G_inf(., xp)) over S^{N-1}.
+    """Numerically integrate G_inf(., xj) conj(G_inf(., xp)) over S^{N-1}, N = len(xj).
 
     nquad is the node count of the periodic trapezoid rule in 2D, or the
     per-factor count of the product rule in 3D.  Accuracy is the
@@ -124,7 +130,7 @@ def farfield_correlation(ctx: WaveContext, xj, xp, nquad: int = 512):
     """
     if nquad < 16:
         raise ValueError("nquad must be at least 16")
-    if ctx.dim == 2:
+    if _dimension(xj) == 2:
         dirs = far_angles(nquad)
         weights = np.full(nquad, 2.0 * np.pi / nquad)
     else:
@@ -135,14 +141,16 @@ def farfield_correlation(ctx: WaveContext, xj, xp, nquad: int = 512):
     return complex(np.sum(weights * vals))
 
 
-def lemma_constant(ctx: WaveContext) -> float:
-    """Constant C with correlation = C * Im G.
+def lemma_constant(ctx: WaveContext, dim: int) -> float:
+    """Constant C with correlation = C * Im G in dimension dim.
 
     Closed forms, confirmed by the coincidence limit of the correlation
     integral: 2D gives (2 pi / (8 k pi)) / (1/4) = 1/k, 3D gives
     (4 pi / (16 pi^2)) / (1/(4 pi)) = 1.
     """
-    return 1.0 / ctx.k if ctx.dim == 2 else 1.0
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    return 1.0 / ctx.k if dim == 2 else 1.0
 
 
 @dataclass(frozen=True)
@@ -158,9 +166,9 @@ class LemmaSweepReport:
         return float(np.max(self.errors))
 
 
-def lemma_sweep(ctx: WaveContext, rmax: float, npairs: int, nquad: int,
+def lemma_sweep(ctx: WaveContext, dim: int, rmax: float, npairs: int, nquad: int,
                 seed: int = 0) -> LemmaSweepReport:
-    """Check correlation = C Im G on seeded random pairs with |xj-xp| <= rmax.
+    """Check correlation = C Im G on seeded random dim-D pairs with |xj-xp| <= rmax.
 
     Under-resolved quadrature is reported, not raised: the caller reads
     max_error and judges it against their tolerance.
@@ -168,9 +176,9 @@ def lemma_sweep(ctx: WaveContext, rmax: float, npairs: int, nquad: int,
     if npairs < 1:
         raise ValueError("npairs must be at least 1")
     rng = np.random.default_rng(seed)
-    const = lemma_constant(ctx)
-    anchors = rng.uniform(-1.0, 1.0, size=(npairs, ctx.dim))
-    dirs = rng.normal(size=(npairs, ctx.dim))
+    const = lemma_constant(ctx, dim)
+    anchors = rng.uniform(-1.0, 1.0, size=(npairs, dim))
+    dirs = rng.normal(size=(npairs, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seps = rng.uniform(1e-3 * rmax, rmax, size=npairs)
     errors = np.empty(npairs)

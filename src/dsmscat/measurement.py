@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import WaveContext, _check_direction, far_angles
+from .kernels import _check_direction, far_angles
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -84,7 +84,7 @@ class NoiseSpec:
             raise ValueError("epsilon must lie in [0, 1]")
 
 
-def near_circle_geometry(ctx: WaveContext, radius: float, count: int) -> np.ndarray:
+def near_circle_geometry(radius: float, count: int) -> np.ndarray:
     """Measurement points at angles 2 pi j / count on the radius circle."""
     if not radius > 0:
         raise ValueError("radius must be positive")

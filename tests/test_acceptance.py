@@ -55,16 +55,16 @@ def _pipeline(name, variant=None):
     if key not in _PIPELINES:
         scenario = build(name, variant=variant)
         cells = discretize(CTX, scenario.shapes, CTX.wavelength / 50.0)
-        near_pts = near_circle_geometry(CTX, 4.0, 50)
+        near_pts = near_circle_geometry(4.0, 50)
         far_dirs = far_angles(50)
         runs = []
         for d in scenario.incidents:
             current = solve_lippmann_schwinger(CTX, cells, d)
             near = FieldSamples(kind="near", locations=near_pts,
-                                values=scattered_near(CTX, cells, current, near_pts),
+                                values=scattered_near(CTX, current, near_pts),
                                 incident=d)
             far = FieldSamples(kind="far", locations=far_dirs,
-                               values=scattered_far(CTX, cells, current, far_dirs),
+                               values=scattered_far(CTX, current, far_dirs),
                                incident=d)
             runs.append((near, far, cells, current))
         _PIPELINES[key] = runs
@@ -80,9 +80,9 @@ def _report(number, ok, detail):
 
 
 def test_criterion_01_lemma_identity():
-    err2 = lemma_sweep(WaveContext(k=2 * np.pi, dim=2), rmax=4.0, npairs=200,
+    err2 = lemma_sweep(CTX, 2, rmax=4.0, npairs=200,
                        nquad=512, seed=101).max_error
-    err3 = lemma_sweep(WaveContext(k=2 * np.pi, dim=3), rmax=4.0, npairs=200,
+    err3 = lemma_sweep(CTX, 3, rmax=4.0, npairs=200,
                        nquad=64, seed=102).max_error
     ok = err2 <= 1e-8 and err3 <= 1e-8
     _report(1, ok, f"correlation identity: max err 2D={err2:.2e}, 3D={err3:.2e} (tol 1e-8)")
@@ -92,12 +92,11 @@ def test_criterion_01_lemma_identity():
 
 def test_criterion_02_lemma_constant_closed_forms():
     z = np.array([0.3, -0.4])
-    c2 = farfield_correlation(WaveContext(k=2 * np.pi, dim=2), z, z, nquad=512).real / 0.25
+    c2 = farfield_correlation(CTX, z, z, nquad=512).real / 0.25
     z3 = np.array([0.3, -0.4, 0.1])
-    ctx3 = WaveContext(k=2 * np.pi, dim=3)
-    c3 = farfield_correlation(ctx3, z3, z3, nquad=64).real / (1.0 / (4.0 * np.pi))
-    e2 = abs(c2 - lemma_constant(CTX))
-    e3 = abs(c3 - lemma_constant(ctx3))
+    c3 = farfield_correlation(CTX, z3, z3, nquad=64).real / (1.0 / (4.0 * np.pi))
+    e2 = abs(c2 - lemma_constant(CTX, 2))
+    e3 = abs(c3 - lemma_constant(CTX, 3))
     ok = e2 <= 1e-10 and e3 <= 1e-10
     _report(2, ok, f"constants C=1/k and C=1 reproduced: err 2D={e2:.2e}, 3D={e3:.2e} (tol 1e-10)")
     assert e2 <= 1e-10
@@ -174,7 +173,7 @@ def test_criterion_07_forward_solver_oracle():
     cells = discretize(CTX, [disk], CTX.wavelength / 40.0)
     current = solve_lippmann_schwinger(CTX, cells, D1)
     dirs = far_angles(50)
-    numeric = scattered_far(CTX, cells, current, dirs)
+    numeric = scattered_far(CTX, current, dirs)
     exact = disk_series_farfield(CTX, 0.3, 1.5, D1, dirs)
     err = float(np.linalg.norm(numeric - exact) / np.linalg.norm(exact))
     ok = err <= 0.02
@@ -188,10 +187,10 @@ def test_criterion_08_near_to_far_rule():
     const_err = abs(np.sum(weights) * (2.0 + 1.0j) - 10.0 * np.pi * (2.0 + 1.0j))
     const_err /= abs(10.0 * np.pi * (2.0 + 1.0j))
     _, _, cells, current = _pipeline("ex1")[0]
-    ring = ring_cauchy(CTX, cells, current, radius=5.0, count=51)
+    ring = ring_cauchy(CTX, current, radius=5.0, count=51)
     dirs = far_angles(50)
     approx = near_to_far_simpson(CTX, ring, dirs)
-    exact = scattered_far(CTX, cells, current, dirs)
+    exact = scattered_far(CTX, current, dirs)
     err = float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
     ok = const_err <= 1e-13 and err <= 0.005
     _report(8, ok, f"ring rule: constant identity err {const_err:.1e} (tol 1e-13); "

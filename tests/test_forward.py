@@ -195,7 +195,7 @@ def test_discretize_single_cell_for_tiny_square():
     grid = discretize(CTX, [square((0, 0), 0.02, eta=1.0)], h_fwd=0.02)
     assert len(grid) == 1
     np.testing.assert_allclose(grid.centers[0], [0.0, 0.0], atol=1e-15)
-    assert grid.areas[0] == pytest.approx(0.02**2)
+    assert grid.h_fwd == 0.02
     assert grid.eta[0] == 1.0
 
 
@@ -259,12 +259,9 @@ def test_solver_born_limit():
 def test_solver_rejects_bad_input():
     grid = discretize(CTX, [square((0, 0), 0.3, eta=1.0)], h_fwd=0.02)
     with pytest.raises(ValueError):
-        solve_lippmann_schwinger(WaveContext(k=2 * np.pi, dim=3), grid, D1)
-    with pytest.raises(ValueError):
         solve_lippmann_schwinger(CTX, grid, np.array([1.0, 1.0]))
     big = CellGrid(
         centers=np.zeros((5001, 2)),
-        areas=np.ones(5001),
         eta=np.ones(5001, dtype=complex),
         h_fwd=0.02,
     )
@@ -272,14 +269,10 @@ def test_solver_rejects_bad_input():
         solve_lippmann_schwinger(CTX, big, D1)
 
 
-def _unit_current(centers, h_fwd=0.02):
+def _unit_current(centers):
+    """Unit currents on cells of unit area (h_fwd = 1) at centers."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    grid = CellGrid(
-        centers=centers,
-        areas=np.ones(len(centers)),
-        eta=np.ones(len(centers), dtype=complex),
-        h_fwd=h_fwd,
-    )
+    grid = CellGrid(centers=centers, eta=np.ones(len(centers), dtype=complex), h_fwd=1.0)
     values = np.ones(len(centers), dtype=complex)
     return grid, InducedCurrent(values=values, total_field=values, incident=D1, grid=grid)
 
@@ -287,9 +280,9 @@ def _unit_current(centers, h_fwd=0.02):
 def test_scattered_fields_point_source_examples():
     grid, current = _unit_current([[0.0, 0.0]])
     x = np.array([1.3, -0.4])
-    assert scattered_near(CTX, grid, current, x) == pytest.approx(green(CTX, x, np.zeros(2)))
+    assert scattered_near(CTX, current, x) == pytest.approx(green(CTX, x, np.zeros(2)))
     xhat = np.array([0.6, 0.8])
-    assert scattered_far(CTX, grid, current, xhat) == pytest.approx(
+    assert scattered_far(CTX, current, xhat) == pytest.approx(
         green_farfield(CTX, xhat, np.zeros(2))
     )
     zero = InducedCurrent(
@@ -298,16 +291,16 @@ def test_scattered_fields_point_source_examples():
         incident=D1,
         grid=grid,
     )
-    assert scattered_near(CTX, grid, zero, x) == 0.0
-    assert scattered_far(CTX, grid, zero, xhat) == 0.0
+    assert scattered_near(CTX, zero, x) == 0.0
+    assert scattered_far(CTX, zero, xhat) == 0.0
 
 
 def test_scattered_near_symmetric_pair():
-    grid, current = _unit_current([[0.0, 0.5], [0.0, -0.5]])
-    grid1, current1 = _unit_current([[0.0, 0.5]])
+    _, current = _unit_current([[0.0, 0.5], [0.0, -0.5]])
+    _, current1 = _unit_current([[0.0, 0.5]])
     x = np.array([2.0, 0.0])  # on the symmetry axis
-    pair = scattered_near(CTX, grid, current, x)
-    single = scattered_near(CTX, grid1, current1, x)
+    pair = scattered_near(CTX, current, x)
+    single = scattered_near(CTX, current1, x)
     assert pair == pytest.approx(2.0 * single)
 
 
@@ -315,23 +308,23 @@ def test_scattered_near_rejects_points_inside():
     grid = discretize(CTX, [square((0, 0), 0.3, eta=1.0)], h_fwd=0.02)
     current = solve_lippmann_schwinger(CTX, grid, D1)
     with pytest.raises(EvaluationPointError):
-        scattered_near(CTX, grid, current, np.array([0.0, 0.0]))
+        scattered_near(CTX, current, np.array([0.0, 0.0]))
     pts = np.array([[4.0, 0.0], [0.005, 0.0]])
     with pytest.raises(EvaluationPointError):
-        scattered_near(CTX, grid, current, pts)
+        scattered_near(CTX, current, pts)
 
 
 def test_scattered_far_translation_phase():
     # same current values on shifted cells: far field gains e^{-ik xhat.t}
     rng = np.random.default_rng(7)
     centers = rng.uniform(-0.3, 0.3, size=(12, 2))
-    grid, current = _unit_current(centers)
+    _, current = _unit_current(centers)
     t = np.array([0.37, -0.21])
-    shifted, _ = _unit_current(centers + t)
+    _, shifted = _unit_current(centers + t)
     angles = np.linspace(0.0, 2 * np.pi, 9)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    base = scattered_far(CTX, grid, current, dirs)
-    moved = scattered_far(CTX, shifted, current, dirs)
+    base = scattered_far(CTX, current, dirs)
+    moved = scattered_far(CTX, shifted, dirs)
     np.testing.assert_allclose(moved, base * np.exp(-1j * CTX.k * dirs @ t), rtol=1e-12)
 
 
@@ -347,8 +340,8 @@ def test_translation_covariance_of_solutions():
     moved = solve_lippmann_schwinger(CTX, moved_grid, D1)
     angles = np.linspace(0.0, 2 * np.pi, 11)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    f_base = scattered_far(CTX, base_grid, base, dirs)
-    f_moved = scattered_far(CTX, moved_grid, moved, dirs)
+    f_base = scattered_far(CTX, base, dirs)
+    f_moved = scattered_far(CTX, moved, dirs)
     factor = np.exp(1j * CTX.k * (D1 @ t - dirs @ t))
     np.testing.assert_allclose(f_moved, f_base * factor, rtol=1e-9)
 
@@ -401,7 +394,7 @@ def test_solver_matches_disk_series():
     current = solve_lippmann_schwinger(CTX, grid, D1)
     angles = 2.0 * np.pi * np.arange(50) / 50.0
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    numeric = scattered_far(CTX, grid, current, dirs)
+    numeric = scattered_far(CTX, current, dirs)
     exact = disk_series_farfield(CTX, 0.3, 1.5, D1, dirs)
     err = np.linalg.norm(numeric - exact) / np.linalg.norm(exact)
     assert err < 0.02
@@ -413,8 +406,8 @@ def test_asymptotic_consistency_at_large_radius():
     r = 100.0
     angles = np.array([0.0, 1.1, 2.9, 4.2])
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    near = scattered_near(CTX, grid, current, r * dirs)
-    far = scattered_far(CTX, grid, current, dirs)
+    near = scattered_near(CTX, current, r * dirs)
+    far = scattered_far(CTX, current, dirs)
     recovered = near * np.sqrt(r) / np.exp(1j * CTX.k * r)
     assert np.max(np.abs(recovered - far) / np.abs(far)) < 0.01
 
@@ -429,15 +422,15 @@ def test_obstacle_absorption_cauchy_trend():
     for s in shapes:
         grid = discretize(CTX, [s], h_fwd=0.02)
         current = solve_lippmann_schwinger(CTX, grid, D1)
-        fields.append(scattered_far(CTX, grid, current, dirs))
+        fields.append(scattered_far(CTX, current, dirs))
     d_low = np.linalg.norm(fields[1] - fields[0]) / np.linalg.norm(fields[1])
     d_high = np.linalg.norm(fields[2] - fields[1]) / np.linalg.norm(fields[2])
     assert d_high < d_low
 
 
 def test_ring_cauchy_point_source_closed_form():
-    grid, current = _unit_current([[0.0, 0.0]])
-    ring = ring_cauchy(CTX, grid, current, radius=5.0, count=51)
+    _, current = _unit_current([[0.0, 0.0]])
+    ring = ring_cauchy(CTX, current, radius=5.0, count=51)
     k = CTX.k
     np.testing.assert_allclose(ring.values, 0.25j * hankel1(0, 5.0 * k), rtol=1e-12)
     np.testing.assert_allclose(ring.normal_derivs, -0.25j * k * hankel1(1, 5.0 * k), rtol=1e-12)
@@ -470,8 +463,8 @@ def test_near_to_far_rejects_wrong_node_count():
 
 def test_near_to_far_rejects_other_radii():
     # the weights are Simpson's h/3 on the radius-5 circle only
-    grid, current = _unit_current([[0.0, 0.0]])
-    ring = ring_cauchy(CTX, grid, current, radius=3.0, count=51)
+    _, current = _unit_current([[0.0, 0.0]])
+    ring = ring_cauchy(CTX, current, radius=3.0, count=51)
     with pytest.raises(ValueError, match="radius 3"):
         near_to_far_simpson(CTX, ring, np.array([1.0, 0.0]))
 
@@ -491,8 +484,8 @@ def test_far_field_reciprocity_on_presets(name):
     # u_inf(-d2; d1) = u_inf(-d1; d2)
     cells, d1 = _preset_cells(name)
     d2 = np.array([np.cos(2.0), np.sin(2.0)])
-    u12 = scattered_far(CTX, cells, solve_lippmann_schwinger(CTX, cells, d1), -d2)
-    u21 = scattered_far(CTX, cells, solve_lippmann_schwinger(CTX, cells, d2), -d1)
+    u12 = scattered_far(CTX, solve_lippmann_schwinger(CTX, cells, d1), -d2)
+    u21 = scattered_far(CTX, solve_lippmann_schwinger(CTX, cells, d2), -d1)
     assert abs(u12 - u21) <= 1e-12 * abs(u12)
 
 
@@ -501,9 +494,9 @@ def _extinction_and_scattering(name, variant=None, count=256):
     |u_inf|^2 over count directions; they are equal for a lossless medium."""
     cells, d = _preset_cells(name, variant)
     current = solve_lippmann_schwinger(CTX, cells, d)
-    forward = scattered_far(CTX, cells, current, d)
+    forward = scattered_far(CTX, current, d)
     extinction = np.sqrt(8.0 * np.pi / CTX.k) * (np.exp(-0.25j * np.pi) * forward).imag
-    far = scattered_far(CTX, cells, current, far_angles(count))
+    far = scattered_far(CTX, current, far_angles(count))
     return extinction, 2.0 * np.pi / count * np.sum(np.abs(far) ** 2)
 
 

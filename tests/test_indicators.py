@@ -37,7 +37,7 @@ def _far_point_source(z, count=50):
 
 
 def _near_point_source(z, count=50, radius=4.0):
-    pts = near_circle_geometry(CTX, radius, count)
+    pts = near_circle_geometry(radius, count)
     values = green(CTX, pts, np.asarray(z, dtype=float))
     return FieldSamples(kind="near", locations=pts, values=values, incident=D1)
 
@@ -108,7 +108,7 @@ def test_point_scatterer_images_as_bessel_modulus():
     current = solve_lippmann_schwinger(CTX, cells, ex1.incidents[0])
     dirs = far_angles(50)
     data = FieldSamples(kind="far", locations=dirs, incident=ex1.incidents[0],
-                        values=scattered_far(CTX, cells, current, dirs))
+                        values=scattered_far(CTX, current, dirs))
     grid = SamplingGrid()
     image = indicator_grid(CTX, data, grid)
     r = np.linalg.norm(grid.nodes() - cells.centers[0], axis=1)
@@ -131,7 +131,7 @@ def test_indicators_reject_zero_data():
     zero_far = FieldSamples(kind="far", locations=dirs, values=np.zeros(50), incident=D1)
     with pytest.raises(DegenerateDataError):
         indicator_values(CTX, zero_far, np.zeros(2))
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     zero_near = FieldSamples(kind="near", locations=pts, values=np.zeros(50), incident=D1)
     with pytest.raises(DegenerateDataError):
         indicator_values(CTX, zero_near, np.zeros(2))
@@ -299,7 +299,6 @@ def _flood_fill_components(grid: IndicatorGrid, cutoff: float):
             components.append(
                 Component(
                     indices=idx,
-                    points=pts,
                     centroid=pts.mean(axis=0),
                     lo=pts.min(axis=0),
                     hi=pts.max(axis=0),
@@ -514,21 +513,14 @@ def test_grid_fallbacks_equal_the_dense_kernel():
                           values=values, incident=D1)
     np.testing.assert_array_equal(_grid_correlation(CTX, uneven, grid), _dense(CTX, uneven, grid))
     # a grid reaching r/R = 0.95, where H_M(kR) would pass the order cap
-    data = FieldSamples(kind="near", locations=near_circle_geometry(CTX, 4.0, 50), values=values, incident=D1)
+    data = FieldSamples(kind="near", locations=near_circle_geometry(4.0, 50), values=values, incident=D1)
     wide = SamplingGrid(xmin=-2.68, xmax=2.68, ymin=-2.68, ymax=2.68, h=0.67)
     assert not _takes_graf_path(CTX, data, wide)
     np.testing.assert_array_equal(_grid_correlation(CTX, data, wide), _dense(CTX, data, wide))
-    # imaging is two-dimensional: dim 3 is refused at entry for both kinds
-    ctx3 = WaveContext(k=2.0 * np.pi, dim=3)
-    for samples in (data, _far_point_source([0.3, -0.2])):
-        with pytest.raises(ValueError, match="two-dimensional"):
-            indicator_grid(ctx3, samples, grid)
-        with pytest.raises(ValueError, match="two-dimensional"):
-            indicator_values(ctx3, samples, np.zeros(2))
 
 
 def test_grid_errors_as_with_the_dense_kernel():
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     zero_near = FieldSamples(kind="near", locations=pts, values=np.zeros(50), incident=D1)
     with pytest.raises(DegenerateDataError):
         indicator_grid(CTX, zero_near, SamplingGrid(xmin=-1, xmax=1, ymin=-1, ymax=1, h=0.5))

@@ -16,7 +16,7 @@ D1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
 def _near_samples(values=None, count=50):
-    pts = near_circle_geometry(CTX, 4.0, count)
+    pts = near_circle_geometry(4.0, count)
     if values is None:
         rng = np.random.default_rng(3)
         values = rng.normal(size=count) + 1j * rng.normal(size=count)
@@ -24,11 +24,11 @@ def _near_samples(values=None, count=50):
 
 
 def test_near_circle_geometry_protocol():
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     assert pts.shape == (50, 2)
     np.testing.assert_allclose(pts[0], [4.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 4.0, atol=1e-12)
-    quarter = near_circle_geometry(CTX, 1.0, 4)
+    quarter = near_circle_geometry(1.0, 4)
     np.testing.assert_allclose(quarter, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
 
 
@@ -42,15 +42,15 @@ def test_far_angles_protocol():
 
 def test_geometry_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        near_circle_geometry(CTX, -1.0, 50)
+        near_circle_geometry(-1.0, 50)
     with pytest.raises(ValueError):
-        near_circle_geometry(CTX, 4.0, 0)
+        near_circle_geometry(4.0, 0)
     with pytest.raises(ValueError):
         far_angles(0)
 
 
 def test_field_samples_validation():
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     with pytest.raises(ValueError):
         FieldSamples(kind="volume", locations=pts, values=np.ones(50), incident=D1)
     with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ def test_field_samples_measure_their_layout_once():
 
 
 def test_huge_receiver_coordinate_is_refused_without_overflow():
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     pts[3, 0] = 1e300
     with pytest.raises(ValueError, match="one circle"):  # a RuntimeWarning would fail here too
         FieldSamples(kind="near", locations=pts, values=np.ones(50), incident=D1)
@@ -91,7 +91,7 @@ def test_huge_receiver_coordinate_is_refused_without_overflow():
 @pytest.mark.parametrize("radius", [1e4, 1e5])
 def test_field_samples_accept_large_receiver_circles(radius):
     # the rounding of x and y alone spreads the radii by more than 1e-12 here
-    pts = near_circle_geometry(CTX, radius, 50)
+    pts = near_circle_geometry(radius, 50)
     s = FieldSamples(kind="near", locations=pts, values=np.ones(50), incident=D1)
     assert s.radius == pytest.approx(radius, rel=1e-12)
     bent = pts.copy()
@@ -143,7 +143,7 @@ def test_draws_are_prefix_stable_per_index():
 
 
 def test_near_and_far_noise_independent_at_same_seed():
-    pts = near_circle_geometry(CTX, 4.0, 50)
+    pts = near_circle_geometry(4.0, 50)
     values = np.full(50, 1.0 + 0.0j)
     near = FieldSamples(kind="near", locations=pts, values=values, incident=D1)
     far = FieldSamples(kind="far", locations=far_angles(50), values=values, incident=D1)
