@@ -46,7 +46,7 @@ from .forward import (
     solve_lippmann_schwinger,
 )
 from .indicators import SamplingGrid, check_cutoff, combine_max, indicator_grid, superlevel_components
-from .kernels import WaveContext, far_angles, lemma_sweep
+from .kernels import WaveContext, check_kr, far_angles, lemma_sweep
 from .measurement import FieldSamples, NoiseSpec, add_noise, near_circle_geometry
 from .scenarios import SCENARIO_NAMES, build
 
@@ -210,7 +210,7 @@ def read_samples(path: str):
             raise ConfigError(f"{path}: missing or malformed sample header")
         kind, k_raw, deg_raw = match.groups()
         try:
-            k = WaveContext(k=_finite(k_raw)).k
+            ctx = WaveContext(k=_finite(k_raw))
             incident = np.deg2rad(_finite(deg_raw))
             body = np.loadtxt(handle, delimiter=",", ndmin=2)
             expected_cols = 3 if kind == "far" else 4
@@ -225,9 +225,11 @@ def read_samples(path: str):
                 locations = body[:, :2]
             samples = FieldSamples(kind=kind, locations=locations, values=body[:, -2] + 1j * body[:, -1],
                                    incident=np.array([np.cos(incident), np.sin(incident)]))
+            if kind == "near":
+                check_kr(ctx, samples.radius, "the receiver circle")
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    return k, samples
+    return ctx.k, samples
 
 
 def write_indicator_csv(path: str, result) -> None:
@@ -258,7 +260,7 @@ def _grid_from_config(cfg: dict) -> SamplingGrid:
     lo = _value(cfg, "grid.min", _finite, default.xmin)
     hi = _value(cfg, "grid.max", _finite, default.xmax)
     h = _value(cfg, "grid.h", _finite, default.h)
-    return SamplingGrid(xmin=lo, xmax=hi, ymin=lo, ymax=hi, h=h)
+    return _named("keys 'grid.min', 'grid.max' and 'grid.h'", SamplingGrid, lo, hi, lo, hi, h)
 
 
 def _load_config(path: str) -> dict:
@@ -322,6 +324,7 @@ def cmd_synthesize(args) -> int:
     incidents = _resolve_incidents(cfg, preset_incidents)
     near_radius = _value(cfg, "near.radius", _finite, _NEAR_RADIUS_WAVELENGTHS * ctx.wavelength)
     _named("key 'near.radius'", near_circle_geometry, near_radius, 1)  # the radius rule alone
+    _named("key 'near.radius'", check_kr, ctx, near_radius, "the receiver circle")
     near_count = _value(cfg, "near.count", int, _NEAR_COUNT)
     far_count = _value(cfg, "far.count", int, _FAR_COUNT)
     epsilons = _value(cfg, "noise.epsilon",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscretizationError, EvaluationPointError, SolverError
-from .kernels import WaveContext, green, green_farfield, _check_direction
+from .kernels import WaveContext, check_kr, green, green_farfield, _check_direction
 from .special import _miller_jn, _upward_rows, hankel1
 
 MAX_CELLS = 5000
@@ -127,8 +127,10 @@ def contains(shape: ShapeSpec, x) -> bool | np.ndarray:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts) - np.asarray(shape.center)
-    if shape.kind == "disk":
+    if shape.kind == "disk" and max(shape.radius, np.max(np.abs(pts))) < 1e150:
         ok = np.sum(pts**2, axis=1) < shape.radius**2
+    elif shape.kind == "disk":  # the squares would overflow
+        ok = np.hypot(pts[:, 0], pts[:, 1]) < shape.radius
     else:
         ok = _in_rect(pts, *shape._rect())
         if shape.kind == "ring":
@@ -165,12 +167,14 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
     lo = np.min(los, axis=0)
     hi = np.max(his, axis=0)
     with np.errstate(over="ignore"):  # an infinite count is refused below, before any cast
-        counts = np.maximum(np.ceil((hi - lo) / h_fwd - 1e-12), 1.0)
+        extent = hi - lo
+        counts = np.maximum(np.ceil(extent / h_fwd - 1e-12), 1.0)
     if not float(counts[0]) * float(counts[1]) <= MAX_LATTICE_POINTS:
         raise DiscretizationError(
-            f"the cell lattice of pitch {h_fwd:.3g} over the shapes' {hi[0] - lo[0]:.3g} x "
-            f"{hi[1] - lo[1]:.3g} bounding box would hold {counts[0]:.4g} x {counts[1]:.4g} points, "
+            f"the cell lattice of pitch {h_fwd:.3g} over the shapes' {extent[0]:.3g} x "
+            f"{extent[1]:.3g} bounding box would hold {counts[0]:.4g} x {counts[1]:.4g} points, "
             f"above the supported {MAX_LATTICE_POINTS}")
+    check_kr(ctx, np.hypot(*np.max(np.abs([lo, hi]), axis=0)), "the shapes' bounding box")
     counts = counts.astype(int)
     xs = lo[0] + (np.arange(counts[0]) + 0.5) * h_fwd
     ys = lo[1] + (np.arange(counts[1]) + 0.5) * h_fwd

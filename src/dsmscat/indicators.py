@@ -21,14 +21,18 @@ two do not cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDataError, EvaluationPointError
-from .kernels import WaveContext, green, green_farfield
+from .kernels import WaveContext, check_kr, green, green_farfield
 from .measurement import FieldSamples
 from .special import _miller_jn, _upward_rows
+
+
+# nodes of one sampling grid: 2^22, 26 times the default 401 x 401
+MAX_GRID_NODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class SamplingGrid:
     ymin: float = -2.0
     ymax: float = 2.0
     h: float = 0.01
+    shape: tuple = field(init=False, repr=False)  # (ny, nx)
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.xmin, self.xmax, self.ymin, self.ymax, self.h])):
@@ -48,12 +53,13 @@ class SamplingGrid:
             raise ValueError("grid bounds must satisfy min < max")
         if not self.h > 0:
             raise ValueError("grid pitch must be positive")
-
-    @property
-    def shape(self) -> tuple:
-        nx = int(np.floor((self.xmax - self.xmin) / self.h + 1e-9)) + 1
-        ny = int(np.floor((self.ymax - self.ymin) / self.h + 1e-9)) + 1
-        return (ny, nx)
+        with np.errstate(over="ignore"):  # a count past the float range is refused below
+            ny, nx = (np.floor((hi - lo) / self.h + 1e-9) + 1.0
+                      for lo, hi in ((self.ymin, self.ymax), (self.xmin, self.xmax)))
+            if not ny * nx <= MAX_GRID_NODES:
+                raise ValueError(f"the grid would hold {ny:.4g} x {nx:.4g} nodes, "
+                                 f"above the supported {MAX_GRID_NODES}")
+        object.__setattr__(self, "shape", (int(ny), int(nx)))
 
     @property
     def xs(self) -> np.ndarray:
@@ -92,17 +98,21 @@ class IndicatorGrid:
         return np.array([self.grid.xs[ix], self.grid.ys[iy]])
 
 
-def _check_inside(data: FieldSamples, r: np.ndarray) -> None:
-    """Raise unless every radius r lies strictly inside the near data's circle."""
-    if np.any(r >= data.radius - 1e-12):
+def _check_reach(ctx: WaveContext, data: FieldSamples, reach: float) -> None:
+    """Raise unless sampling points up to reach from the origin lie strictly
+    inside near data's circle, and k R (near) or k reach (far) is in MAX_KR."""
+    if data.kind == "far":
+        return check_kr(ctx, reach, "the sampling grid")
+    if reach >= data.radius - 1e-12:
         raise EvaluationPointError("sampling point not strictly inside the measurement circle")
+    check_kr(ctx, data.radius, "the receiver circle")
 
 
 def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndarray:
     """Receivers x points matrix of G_inf (far data) or G (near data)."""
+    _check_reach(ctx, data, np.max(np.hypot(points[:, 0], points[:, 1])))
     if data.kind == "far":
         return green_farfield(ctx, data.locations[:, None, :], points[None, :, :])
-    _check_inside(data, np.sqrt(np.sum(points**2, axis=1)))
     return green(ctx, data.locations[:, None, :], points[None, :, :])
 
 
@@ -269,10 +279,10 @@ def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) 
     """_correlation at every grid node, without a kernel wherever the
     geometry allows; the dense kernel serves near receivers that are not
     equispaced and near grids reaching past the Graf order cap."""
+    _check_reach(ctx, data, np.hypot(np.max(np.abs(grid.xs)), np.max(np.abs(grid.ys))))
     if data.kind == "far":
         return _far_grid_correlation(ctx, data, grid)
     r = np.sqrt(grid.xs[None, :] ** 2 + grid.ys[:, None] ** 2).ravel()
-    _check_inside(data, r)
     hankel = None if data.phase is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
     if hankel is not None:
         return _near_grid_correlation(ctx, data, grid, r, hankel)

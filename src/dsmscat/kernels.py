@@ -30,6 +30,10 @@ import numpy as np
 from .special import _bessel01
 
 _DIRECTION_TOL = 1e-12
+# the largest k r, r the distance from the origin of a receiver, a cell or a
+# sampling node: doubles below 2^40 lie at most 2.4e-4 apart, so every
+# phase k |x - y| still resolves
+MAX_KR = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,13 @@ class WaveContext:
     @property
     def wavelength(self) -> float:
         return 2.0 * np.pi / self.k
+
+
+def check_kr(ctx: WaveContext, r: float, what: str) -> None:
+    """Raise ValueError unless k r <= MAX_KR for the distance r that what reaches."""
+    kr = float(ctx.k) * float(r)
+    if not kr <= MAX_KR:
+        raise ValueError(f"{what} reaches k r = {kr:.4g}, beyond the supported 2^40")
 
 
 def _pairwise_distance(x, y):

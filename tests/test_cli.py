@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -295,7 +297,8 @@ def test_non_finite_config_numbers_name_the_key(tmp_path, capsys, command, line,
     ("near", 2, "4,0,0.1,-inf"),
     ("far", 0, "# kind=far k=6.2831853 incident_deg=inf"),
     ("near", 3, "1e300,0,0.1,0.2"),  # finite, but its square overflows: radii come from hypot
-], ids=["far-angle-inf", "far-value-inf", "near-value-inf", "incident-inf", "near-x-1e300"])
+    ("far", 0, "# kind=far k=5e-324 incident_deg=45.0"),  # finite, but 2 pi / k is not
+], ids=["far-angle-inf", "far-value-inf", "near-value-inf", "incident-inf", "near-x-1e300", "k-5e-324"])
 def test_non_finite_sample_rows_name_the_file(tmp_path, capsys, kind, row, text):
     cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
     assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
@@ -340,6 +343,12 @@ def test_oversized_cell_lattice_is_refused_before_it_is_built(tmp_path, capsys, 
     err = _refused_synthesize(tmp_path, capsys, f"shape = disk 0 0 0.2 {material} 1.5\nincidents = 0\nk = {k}\n")
     assert time.perf_counter() - start < 1.0
     assert f"would hold {points} points, above the supported 4194304" in err
+
+
+def test_lattice_past_the_float_range_is_refused(tmp_path, capsys):
+    # the 1e308 disk's bounding box is 2e308 wide, past the float range
+    err = _refused_synthesize(tmp_path, capsys, "shape = disk 0 0 1e308 nsq 1.5\nincidents = 0\n")
+    assert "over the shapes' inf x inf bounding box would hold inf x inf points" in err
 
 
 @pytest.mark.parametrize("line, key", [
@@ -500,11 +509,89 @@ def test_synthesize_names_bad_receiver_keys_before_any_work(tmp_path, capsys, li
 
 
 def test_tiny_wavenumber_names_the_cell_pitch(tmp_path, capsys):
-    # at k = 1e-300 the lambda/50 cell pitch dwarfs ex1's 0.02 square
-    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\nk = 1e-300\n")
-    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    # at k = 1e-300 the lambda/50 cell pitch dwarfs ex1's 0.02 square and a
+    # 0.2 disk, whose inside test must not square the lattice's 6e298 offsets
+    for text in ("scenario = ex1\n", "shape = disk 0 0 0.2 nsq 1.5\nincidents = 0\n"):
+        err = _refused_synthesize(tmp_path, capsys, text + "k = 1e-300\n")
+        assert "cell pitch 1.26e+299 (wavelength 6.28e+300) exceeds the shapes" in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("scenario = ex6\nk = 5e-324\n", "key 'k': wavenumber k = 4.94066e-324 is so small that the wavelength"),
+    ("scenario = ex1\nnear.radius = 1e200\n", "key 'near.radius': the receiver circle reaches k r = 6.283e+200,"),
+    ("scenario = ex1\nnear.radius = 1e308\n", "key 'near.radius': the receiver circle reaches k r = inf,"),
+    ("shape = disk 0 1e200 0.05 nsq 1.5\nincidents = 0\n", "the shapes' bounding box reaches k r = 6.283e+200,"),
+], ids=["k-5e-324", "near-radius-1e200", "near-radius-1e308", "shape-at-1e200"])
+def test_unresolvable_phases_are_refused(tmp_path, capsys, text, named):
+    err = _refused_synthesize(tmp_path, capsys, text)
+    assert err.startswith(f"error: {named}"), err
+
+
+def _ex1_near_at_radius(tmp_path, radius):
+    """ex1's near sample file with every receiver coordinate scaled to the circle of that radius."""
+    cfg = _write(tmp_path / "ex1.txt", "scenario = ex1\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
+    header, *rows = (tmp_path / "data" / "ex1_near_inc0_eps0.csv").read_text().splitlines()
+    scale = radius / 4.0
+    for i, row in enumerate(rows):
+        x, y, re_part, im_part = row.split(",")
+        rows[i] = f"{float(x) * scale!r},{float(y) * scale!r},{re_part},{im_part}"
+    return _write(tmp_path / "far_out.csv", "\n".join([header, *rows]) + "\n")
+
+
+_CHILD_IMAGE = """
+import sys
+import numpy as np
+from dsmscat.cli import main
+from dsmscat.indicators import SamplingGrid, indicator_grid
+from dsmscat.kernels import WaveContext, far_angles
+from dsmscat.measurement import FieldSamples
+
+path, outdir = sys.argv[1:]
+if path == "library":
+    data = FieldSamples(kind="near", locations=1e308 * far_angles(50), values=np.ones(50), incident=(1.0, 0.0))
+    try:
+        indicator_grid(WaveContext(k=2.0 * np.pi), data, SamplingGrid(h=0.5))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+sys.exit(main(["image", "--data", path, "--outdir", outdir]))
+"""
+
+
+@pytest.mark.parametrize("entry", ["cli", "library"])
+def test_receiver_circle_past_the_phase_bound_is_refused_not_hung(tmp_path, entry):
+    # R = 1e308 at k = 2 pi: k R is inf, whose Graf rows never pass the order
+    # cap; a child process turns a hang into a timeout
+    path = _ex1_near_at_radius(tmp_path, 1e308) if entry == "cli" else "library"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(errors.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD_IMAGE, path, str(tmp_path / "out")],
+                           capture_output=True, text=True, timeout=60, env=env)
+    named = f"{path}: " if entry == "cli" else ""
+    assert child.returncode == 2, child.stderr
+    assert child.stderr == f"error: {named}the receiver circle reaches k r = inf, beyond the supported 2^40\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid_max, nodes", [
+    ("1e308", "inf x inf"),
+    ("1e300", "1e+302 x 1e+302"),
+    ("1000", "1.002e+05 x 1.002e+05"),
+], ids=["max-1e308", "max-1e300", "max-1000"])
+def test_oversized_sampling_grid_is_refused(tmp_path, capsys, grid_max, nodes):
+    cfg = _write(tmp_path / "ex1.txt", "scenario = ex1\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
+    img_cfg = _write(tmp_path / "img.txt", f"grid.max = {grid_max}\n")
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings(["image", "--config", img_cfg, "--data",
+                                           str(tmp_path / "data" / "ex1_far_inc0_eps0.csv"),
+                                           "--outdir", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert "cell pitch 1.26e+299 (wavelength 6.28e+300) exceeds the shapes" in err
+    assert rc == 2 and caught == []
+    assert err == (f"error: keys 'grid.min', 'grid.max' and 'grid.h': the grid would hold {nodes} nodes, "
+                   "above the supported 4194304\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_equals_synthesize_then_image(tmp_path):

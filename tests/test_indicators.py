@@ -65,6 +65,15 @@ def test_sampling_grid_validation():
     assert tiny.shape == (1, 1)
 
 
+def test_sampling_grid_counts_its_nodes_before_any_cast():
+    # 2048 x 2048 nodes is the bound, one more column is past it; counts
+    # past the float range are refused, not cast
+    assert SamplingGrid(xmin=0.0, xmax=2047.0, ymin=0.0, ymax=2047.0, h=1.0).shape == (2048, 2048)
+    for xmax, h in ((2048.0, 1.0), (1e308, 1e-300), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="above the supported 4194304"):
+            SamplingGrid(xmin=0.0, xmax=xmax, ymin=0.0, ymax=2047.0, h=h)
+
+
 def test_indicator_grid_validation():
     g = SamplingGrid(xmin=0, xmax=1, ymin=0, ymax=1, h=0.5)
     with pytest.raises(ValueError):
@@ -536,6 +545,19 @@ def test_grid_errors_as_with_the_dense_kernel():
         assert _dense(CTX, pair, origin)[0, 0] == 0.0
         with pytest.raises(DegenerateDataError, match="vanishes"):
             indicator_grid(CTX, pair, origin)
+
+
+def test_phases_past_the_float_resolution_are_refused():
+    # k r above 2^40: a far grid's or far point's reach, a near circle's radius
+    # (a near grid on such a circle runs in a child process in test_cli)
+    far = _far_point_source([0.3, -0.2])
+    with pytest.raises(ValueError, match="the sampling grid reaches k r = inf"):
+        indicator_grid(CTX, far, SamplingGrid(xmin=0.0, xmax=1e308, ymin=0.0, ymax=1.0, h=1e308))
+    with pytest.raises(ValueError, match="the sampling grid reaches k r = inf"):
+        indicator_values(CTX, far, [1e308, 0.0])
+    near = FieldSamples(kind="near", locations=1e200 * far_angles(50), values=np.ones(50), incident=D1)
+    with pytest.raises(ValueError, match=r"the receiver circle reaches k r = 6.283e\+200"):
+        indicator_values(CTX, near, np.zeros(2))
 
 
 def test_grid_evaluation_memory_stays_small():
