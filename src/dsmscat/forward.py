@@ -203,12 +203,15 @@ def discretize(ctx: WaveContext, shapes, h_fwd: float) -> CellGrid:
 
 @dataclass(frozen=True)
 class InducedCurrent:
-    """Solution of the collocation system: I = eta * u on the cells."""
+    """Solution of the collocation system: the total field u on the cells."""
 
-    values: np.ndarray  # (n,) complex, eta_j u(x_j)
     total_field: np.ndarray  # (n,) complex, u(x_j)
-    incident: np.ndarray  # (2,)
     grid: CellGrid
+
+    @property
+    def sources(self) -> np.ndarray:
+        """eta_j u(x_j) h_fwd^2, the point sources that radiate u^s."""
+        return self.grid.eta * self.total_field * (self.grid.h_fwd * self.grid.h_fwd)
 
 
 def _self_term(ctx: WaveContext, h_fwd: float) -> complex:
@@ -228,14 +231,17 @@ def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurr
         raise ValueError(f"cell count {n} exceeds the supported {MAX_CELLS}")
     d = _check_direction(np.asarray(d, dtype=float), 2)
 
-    diff = grid.centers[:, None, :] - grid.centers[None, :, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    np.fill_diagonal(r, 1.0)  # placeholder, overwritten below
-    a = 0.25j * hankel1(0, ctx.k * r) * (grid.h_fwd * grid.h_fwd)
-    np.fill_diagonal(a, _self_term(ctx, grid.h_fwd))
+    # I - A diag(eta), built in the one n x n array that first holds r
+    system = np.sqrt(sum(np.subtract.outer(c, c) ** 2 for c in grid.centers.T))
+    np.fill_diagonal(system, 1.0)  # placeholder, overwritten below
+    system = hankel1(0, ctx.k * system)
+    system *= 0.25j
+    system *= grid.h_fwd * grid.h_fwd
+    np.fill_diagonal(system, _self_term(ctx, grid.h_fwd))
+    system *= -grid.eta
+    system.flat[::n + 1] += 1.0
 
     u_inc = np.exp(1j * ctx.k * grid.centers @ d)
-    system = np.eye(n, dtype=complex) - a * grid.eta[None, :]
     try:
         u = np.linalg.solve(system, u_inc)
     except np.linalg.LinAlgError as exc:
@@ -247,32 +253,29 @@ def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurr
         raise SolverError(
             f"collocation solve unreliable: residual {residual:.3e}, cond ~ {cond:.3e}"
         )
-    return InducedCurrent(values=grid.eta * u, total_field=u, incident=d, grid=grid)
+    return InducedCurrent(total_field=u, grid=grid)
+
+
+def _radiate(kernel, ctx: WaveContext, current: InducedCurrent, points):
+    """sum_j kernel(p, y_j) times the cell sources, at one point p or each row of points."""
+    pts = np.asarray(points, dtype=float)
+    vals = kernel(ctx, np.atleast_2d(pts)[:, None, :], current.grid.centers[None, :, :]) @ current.sources
+    return complex(vals[0]) if pts.ndim == 1 else vals
 
 
 def scattered_near(ctx: WaveContext, current: InducedCurrent, x):
     """Scattered field at point(s) x outside the scatterer support."""
     grid = current.grid
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     dists = np.sqrt(np.sum((pts[:, None, :] - grid.centers[None, :, :]) ** 2, axis=-1))
     if np.any(dists <= grid.h_fwd / 2.0):
         raise EvaluationPointError("evaluation point inside the scatterer support")
-    weights = current.values * (grid.h_fwd * grid.h_fwd)
-    vals = green(ctx, pts[:, None, :], grid.centers[None, :, :]) @ weights
-    return complex(vals[0]) if single else vals
+    return _radiate(green, ctx, current, x)
 
 
 def scattered_far(ctx: WaveContext, current: InducedCurrent, xhat):
     """Far-field pattern at observation direction(s) xhat."""
-    grid = current.grid
-    dirs = np.asarray(xhat, dtype=float)
-    single = dirs.ndim == 1
-    dirs = np.atleast_2d(dirs)
-    weights = current.values * (grid.h_fwd * grid.h_fwd)
-    vals = green_farfield(ctx, dirs[:, None, :], grid.centers[None, :, :]) @ weights
-    return complex(vals[0]) if single else vals
+    return _radiate(green_farfield, ctx, current, xhat)
 
 
 def disk_series_farfield(ctx: WaveContext, radius: float, nsq, d, angles):
@@ -346,8 +349,7 @@ def ring_cauchy(ctx: WaveContext, current: InducedCurrent,
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     # d/dnu (i/4) H0(k r) = -(ik/4) H1(k r) * ((x - y) . nu)/r
     proj = np.sum(diff * nu[:, None, :], axis=-1) / dist
-    weights = current.values * (grid.h_fwd * grid.h_fwd)
-    derivs = (-0.25j * ctx.k * hankel1(1, ctx.k * dist) * proj) @ weights
+    derivs = (-0.25j * ctx.k * hankel1(1, ctx.k * dist) * proj) @ current.sources
     return RingCauchyData(points=pts, values=values, normal_derivs=derivs, radius=radius)
 
 

@@ -15,8 +15,8 @@ quotient, so no path applies it.
 Imaging is two-dimensional: the data live on planar layouts.  A grid
 evaluation builds no receivers x nodes kernel: far data separate on the
 tensor grid, and near data from equispaced receivers expand in Graf's
-series.  The dense kernel serves point evaluation and the layouts those
-two do not cover.
+series.  The dense kernel serves point evaluation and, in blocks of
+nodes, the layouts those two do not cover.
 """
 
 from __future__ import annotations
@@ -162,9 +162,12 @@ def _far_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGr
 # it a normal number wherever the term matters.
 _GRAF_TAIL = 1e-16
 _GRAF_CAP = 1e250
-# J_m values per block of sampling nodes (orders x nodes), so a block's
-# arrays stay a few megabytes whatever the order count.
-_GRAF_BLOCK = 1 << 19
+# The order search stops here and leaves the grid to the dense kernel, so a
+# receiver circle of large kR costs a bounded recurrence, not about 2 kR steps.
+_GRAF_MAX_ORDER = 1 << 11
+# Values per block of sampling nodes (J_m orders or dense-kernel receivers x
+# nodes), so a block's arrays stay a few megabytes whatever those counts.
+_BLOCK_VALUES = 1 << 19
 
 
 def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
@@ -188,10 +191,10 @@ def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
 
 def _graf_hankel(kr_big: float, kr_max: float):
     """H_0..H_M(kR) for the order M that _graf_order sets for kr_max, or
-    None when that order would pass _GRAF_CAP.  Upward recurrence to a top
-    that doubles until M is found costs about M steps, not kR; its J parts
-    stand while M < kR, where it is stable for J, else one Miller sweep,
-    started above kR, gives J."""
+    None when that order would pass _GRAF_CAP or _GRAF_MAX_ORDER.  Upward
+    recurrence to a top that doubles until M is found costs about M steps,
+    not kR; its J parts stand while M < kR, where it is stable for J, else
+    one Miller sweep, started above kR, gives J."""
     top = 64
     with np.errstate(over="ignore", invalid="ignore"):  # rows past the cap may overflow
         while True:
@@ -199,7 +202,7 @@ def _graf_hankel(kr_big: float, kr_max: float):
             capped = np.abs(rows.imag) > _GRAF_CAP
             kept = rows.imag[:np.argmax(capped)] if capped.any() else rows.imag
             order = _graf_order(np.log(np.abs(kept) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
-            if order >= 0 or capped.any():
+            if order >= 0 or capped.any() or top >= _GRAF_MAX_ORDER:
                 break
             top *= 2
     if order >= kr_big:
@@ -257,7 +260,7 @@ def _near_grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingG
     coeffs = np.stack([lead * spectrum[orders % count], np.conj(lead * spectrum[-orders % count])])
     out = np.empty(r.size)
     by_radius = np.argsort(r, kind="stable")
-    step = max(1, _GRAF_BLOCK // len(hankel))
+    step = max(1, _BLOCK_VALUES // len(hankel))
     for begin in range(0, r.size, step):
         nodes = by_radius[begin:begin + step]
         top = _graf_order(log_h, ctx.k * r[nodes[-1]], kr_big)
@@ -286,7 +289,10 @@ def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) 
     hankel = None if data.phase is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
     if hankel is not None:
         return _near_grid_correlation(ctx, data, grid, r, hankel)
-    return _correlation(data, _kernel(ctx, data, grid.nodes())).reshape(grid.shape)
+    nodes = grid.nodes()
+    step = max(1, _BLOCK_VALUES // len(data.values))
+    return np.concatenate([_correlation(data, _kernel(ctx, data, nodes[i:i + step]))
+                           for i in range(0, len(nodes), step)]).reshape(grid.shape)
 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:

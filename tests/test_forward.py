@@ -6,6 +6,8 @@ and frozen here as literals (radius 0.3, n^2 = 1.5, k = 2 pi, incident
 direction (1,1)/sqrt(2)).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,7 @@ def test_solver_born_limit():
     grid = discretize(CTX, [square((0, 0), 0.02, eta=1.0)], h_fwd=0.02)
     current = solve_lippmann_schwinger(CTX, grid, D1)
     u_inc = np.exp(1j * CTX.k * grid.centers @ D1)
-    margin = np.max(np.abs(current.values - grid.eta * u_inc) / np.abs(grid.eta))
+    margin = np.max(np.abs(grid.eta * current.total_field - grid.eta * u_inc) / np.abs(grid.eta))
     assert margin < 0.05
 
 
@@ -269,12 +271,29 @@ def test_solver_rejects_bad_input():
         solve_lippmann_schwinger(CTX, big, D1)
 
 
+def test_solver_builds_the_system_in_one_array():
+    # a disk of radius 0.4 and n^2 = 1.5 at lambda/50, 1264 cells: the system
+    # is one n x n complex array (16 n^2 bytes) and the dense solve copies it
+    # once, so distances, Hankel values and I - A diag(eta) share one array
+    grid = discretize(CTX, [ShapeSpec(kind="disk", center=(0, 0), radius=0.4, nsq=1.5)],
+                      h_fwd=CTX.wavelength / 50)
+    n = len(grid)
+    assert n == 1264
+    tracemalloc.start()
+    try:
+        solve_lippmann_schwinger(CTX, grid, D1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n * n, peak / (16 * n * n)
+
+
 def _unit_current(centers):
     """Unit currents on cells of unit area (h_fwd = 1) at centers."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     grid = CellGrid(centers=centers, eta=np.ones(len(centers), dtype=complex), h_fwd=1.0)
     values = np.ones(len(centers), dtype=complex)
-    return grid, InducedCurrent(values=values, total_field=values, incident=D1, grid=grid)
+    return grid, InducedCurrent(total_field=values, grid=grid)
 
 
 def test_scattered_fields_point_source_examples():
@@ -285,12 +304,7 @@ def test_scattered_fields_point_source_examples():
     assert scattered_far(CTX, current, xhat) == pytest.approx(
         green_farfield(CTX, xhat, np.zeros(2))
     )
-    zero = InducedCurrent(
-        values=np.zeros(1, dtype=complex),
-        total_field=np.ones(1, dtype=complex),
-        incident=D1,
-        grid=grid,
-    )
+    zero = InducedCurrent(total_field=np.zeros(1, dtype=complex), grid=grid)
     assert scattered_near(CTX, zero, x) == 0.0
     assert scattered_far(CTX, zero, xhat) == 0.0
 

@@ -528,6 +528,34 @@ def test_grid_fallbacks_equal_the_dense_kernel():
     np.testing.assert_array_equal(_grid_correlation(CTX, data, wide), _dense(CTX, data, wide))
 
 
+def test_graf_order_search_stops_at_the_order_cap():
+    # a grid reaching 0.97 R on a circle of kR = 1e6 or 1e9 would need more
+    # than _GRAF_MAX_ORDER orders: the search gives up in bounded time and
+    # the dense kernel serves the grid
+    for kr_big in (1e6, 1e9):
+        assert _graf_hankel(kr_big, 0.97 * kr_big) is None
+        seconds = min(timeit.repeat(lambda: _graf_hankel(kr_big, 0.97 * kr_big), number=1, repeat=3))
+        assert seconds < 0.02, (kr_big, seconds)
+
+
+def test_dense_grid_fallback_memory_stays_small():
+    # 100 receivers on the circle, one of them moved, on the default grid:
+    # the dense kernel goes in blocks of nodes, not receivers x 160 801 at once
+    angles = 2.0 * np.pi * np.arange(100) / 100
+    angles[7] += 1e-3
+    pts = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    data = FieldSamples(kind="near", locations=pts, values=green(CTX, pts, np.array([-0.4, 0.1])),
+                        incident=D1)
+    assert data.phase is None
+    tracemalloc.start()
+    try:
+        indicator_grid(CTX, data, SamplingGrid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
+
+
 def test_grid_errors_as_with_the_dense_kernel():
     pts = near_circle_geometry(4.0, 50)
     zero_near = FieldSamples(kind="near", locations=pts, values=np.zeros(50), incident=D1)
