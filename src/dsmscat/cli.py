@@ -70,6 +70,12 @@ _CELLS_PER_WAVELENGTH = 50
 # receivers x cells of one sample kind: bounds the (receivers, cells)
 # arrays that scattered_near and scattered_far build
 _MAX_RECEIVER_CELLS = 1 << 22
+# verify's lemma sweep: a pair costs about 0.25 ms in 2-D and 0.9 ms in 3-D,
+# and 0.3 us more per quadrature direction (nquad in 2-D, nquad^2 in 3-D), so
+# one dimension's sweep stays under about a minute
+_MAX_LEMMA_PAIRS = 1 << 14
+_MAX_LEMMA_DIRECTIONS = 1 << 20  # per pair
+_MAX_LEMMA_WORK = 1 << 26  # pairs x directions
 
 
 def atomic_write(path: str, payload) -> None:
@@ -212,9 +218,12 @@ def read_samples(path: str):
         try:
             ctx = WaveContext(k=_finite(k_raw))
             incident = np.deg2rad(_finite(deg_raw))
-            body = np.loadtxt(handle, delimiter=",", ndmin=2)
+            rows = [line for line in handle if line.split("#", 1)[0].strip()]  # loadtxt skips the rest
             expected_cols = 3 if kind == "far" else 4
-            if body.size == 0 or body.shape[1] != expected_cols:
+            if not rows:
+                raise ValueError(f"no sample rows after the header, expected {expected_cols} columns")
+            body = np.loadtxt(rows, delimiter=",", ndmin=2)
+            if body.shape[1] != expected_cols:
                 raise ValueError(f"expected {expected_cols} columns of sample rows")
             if not np.all(np.isfinite(body)):
                 raise ValueError("sample rows must hold finite numbers")
@@ -375,9 +384,24 @@ def _verify_disk_oracle() -> float:
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.pairs <= _MAX_LEMMA_PAIRS:
+        raise ConfigError(f"--pairs {args.pairs}: must lie in [1, {_MAX_LEMMA_PAIRS}]")
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be a non-negative integer")
+    nquads = {dim: args.nquad if args.nquad is not None else (512 if dim == 2 else 64)
+              for dim in ((2, 3) if args.dim is None else (args.dim,))}
+    for dim, nquad in nquads.items():  # every flag is checked before any sweep runs
+        directions = nquad if dim == 2 else nquad * nquad
+        if nquad < 16:
+            raise ConfigError(f"--nquad {nquad}: must be at least 16")
+        if directions > _MAX_LEMMA_DIRECTIONS:
+            raise ConfigError(f"--nquad {nquad} gives {directions} directions per pair in {dim}-D, "
+                              f"above the supported {_MAX_LEMMA_DIRECTIONS}")
+        if args.pairs * directions > _MAX_LEMMA_WORK:
+            raise ConfigError(f"--pairs {args.pairs} at {directions} directions per pair in {dim}-D "
+                              f"gives {args.pairs * directions}, above the supported {_MAX_LEMMA_WORK}")
     checks = []  # (name, figure, value, tolerance); a check passes when value <= tolerance
-    for dim in (2, 3) if args.dim is None else (args.dim,):
-        nquad = args.nquad if args.nquad is not None else (512 if dim == 2 else 64)
+    for dim, nquad in nquads.items():
         report = lemma_sweep(WaveContext(k=_K), dim, rmax=4.0 if dim == 2 else 2.0,
                              npairs=args.pairs, nquad=nquad, seed=args.seed)
         checks.append((f"lemma dim={dim}", f"nquad={nquad} pairs={args.pairs} max_error",

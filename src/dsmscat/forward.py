@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiscretizationError, EvaluationPointError, SolverError
-from .kernels import WaveContext, check_kr, green, green_farfield, _check_direction
+from .kernels import WaveContext, check_kr, green, green_farfield, _check_direction, _pairwise_distance
 from .special import _miller_jn, _upward_rows, hankel1
 
 MAX_CELLS = 5000
@@ -127,9 +127,7 @@ def contains(shape: ShapeSpec, x) -> bool | np.ndarray:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts) - np.asarray(shape.center)
-    if shape.kind == "disk" and max(shape.radius, np.max(np.abs(pts))) < 1e150:
-        ok = np.sum(pts**2, axis=1) < shape.radius**2
-    elif shape.kind == "disk":  # the squares would overflow
+    if shape.kind == "disk":
         ok = np.hypot(pts[:, 0], pts[:, 1]) < shape.radius
     else:
         ok = _in_rect(pts, *shape._rect())
@@ -232,7 +230,7 @@ def solve_lippmann_schwinger(ctx: WaveContext, grid: CellGrid, d) -> InducedCurr
     d = _check_direction(np.asarray(d, dtype=float), 2)
 
     # I - A diag(eta), built in the one n x n array that first holds r
-    system = np.sqrt(sum(np.subtract.outer(c, c) ** 2 for c in grid.centers.T))
+    system = _pairwise_distance(grid.centers[:, None, :], grid.centers[None, :, :])
     np.fill_diagonal(system, 1.0)  # placeholder, overwritten below
     system = hankel1(0, ctx.k * system)
     system *= 0.25j
@@ -267,8 +265,7 @@ def scattered_near(ctx: WaveContext, current: InducedCurrent, x):
     """Scattered field at point(s) x outside the scatterer support."""
     grid = current.grid
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    dists = np.sqrt(np.sum((pts[:, None, :] - grid.centers[None, :, :]) ** 2, axis=-1))
-    if np.any(dists <= grid.h_fwd / 2.0):
+    if np.any(_pairwise_distance(pts[:, None, :], grid.centers[None, :, :]) <= grid.h_fwd / 2.0):
         raise EvaluationPointError("evaluation point inside the scatterer support")
     return _radiate(green, ctx, current, x)
 
@@ -345,10 +342,9 @@ def ring_cauchy(ctx: WaveContext, current: InducedCurrent,
     nu = np.column_stack([np.cos(theta), np.sin(theta)])
     pts = radius * nu
     values = scattered_near(ctx, current, pts)
-    diff = pts[:, None, :] - grid.centers[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
-    # d/dnu (i/4) H0(k r) = -(ik/4) H1(k r) * ((x - y) . nu)/r
-    proj = np.sum(diff * nu[:, None, :], axis=-1) / dist
+    dist = _pairwise_distance(pts[:, None, :], grid.centers[None, :, :])
+    # d/dnu (i/4) H0(k r) = -(ik/4) H1(k r) * ((x - y) . nu)/r, with (x - y) . nu = R - nu . y
+    proj = (radius - nu @ grid.centers.T) / dist
     derivs = (-0.25j * ctx.k * hankel1(1, ctx.k * dist) * proj) @ current.sources
     return RingCauchyData(points=pts, values=values, normal_derivs=derivs, radius=radius)
 

@@ -15,8 +15,8 @@ quotient, so no path applies it.
 Imaging is two-dimensional: the data live on planar layouts.  A grid
 evaluation builds no receivers x nodes kernel: far data separate on the
 tensor grid, and near data from equispaced receivers expand in Graf's
-series.  The dense kernel serves point evaluation and, in blocks of
-nodes, the layouts those two do not cover.
+series.  The dense kernel, in blocks of points, serves point evaluation
+and the layouts those two do not cover.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ def _check_reach(ctx: WaveContext, data: FieldSamples, reach: float) -> None:
 
 def _kernel(ctx: WaveContext, data: FieldSamples, points: np.ndarray) -> np.ndarray:
     """Receivers x points matrix of G_inf (far data) or G (near data)."""
-    _check_reach(ctx, data, np.max(np.hypot(points[:, 0], points[:, 1])))
     if data.kind == "far":
         return green_farfield(ctx, data.locations[:, None, :], points[None, :, :])
     return green(ctx, data.locations[:, None, :], points[None, :, :])
@@ -136,9 +135,13 @@ def _correlation(data: FieldSamples, gram: np.ndarray) -> np.ndarray:
 def indicator_values(ctx: WaveContext, data: FieldSamples, points):
     """Indicator of near or far data (by data.kind) at one point or at each
     row of an (n, 2) array; near-data points must lie strictly inside the
-    measurement circle."""
+    measurement circle; the kernel goes in blocks of _BLOCK_VALUES values."""
     pts = np.asarray(points, dtype=float)
-    values = _correlation(data, _kernel(ctx, data, np.atleast_2d(pts)))
+    rows = np.atleast_2d(pts)
+    _check_reach(ctx, data, np.max(np.hypot(rows[:, 0], rows[:, 1])))
+    step = max(1, _BLOCK_VALUES // len(data.values))
+    values = np.concatenate([_correlation(data, _kernel(ctx, data, rows[i:i + step]))
+                             for i in range(0, len(rows), step)])
     return float(values[0]) if pts.ndim == 1 else values
 
 
@@ -191,20 +194,15 @@ def _graf_order(log_h: np.ndarray, kr: float, kr_big: float) -> int:
 
 def _graf_hankel(kr_big: float, kr_max: float):
     """H_0..H_M(kR) for the order M that _graf_order sets for kr_max, or
-    None when that order would pass _GRAF_CAP or _GRAF_MAX_ORDER.  Upward
-    recurrence to a top that doubles until M is found costs about M steps,
-    not kR; its J parts stand while M < kR, where it is stable for J, else
-    one Miller sweep, started above kR, gives J."""
-    top = 64
+    None when that order would pass _GRAF_CAP or _GRAF_MAX_ORDER.  One
+    upward recurrence to _GRAF_MAX_ORDER gives the rows, whatever kR; its
+    J parts stand while M < kR, where it is stable for J, else one Miller
+    sweep, started above kR, gives J."""
     with np.errstate(over="ignore", invalid="ignore"):  # rows past the cap may overflow
-        while True:
-            rows = _upward_rows(top, float(kr_big))
-            capped = np.abs(rows.imag) > _GRAF_CAP
-            kept = rows.imag[:np.argmax(capped)] if capped.any() else rows.imag
-            order = _graf_order(np.log(np.abs(kept) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
-            if order >= 0 or capped.any() or top >= _GRAF_MAX_ORDER:
-                break
-            top *= 2
+        rows = _upward_rows(_GRAF_MAX_ORDER, float(kr_big))
+        capped = np.abs(rows.imag) > _GRAF_CAP
+        kept = rows.imag[:np.argmax(capped)] if capped.any() else rows.imag
+        order = _graf_order(np.log(np.abs(kept) + 1.0), kr_max, kr_big)  # |H_m| <= |Y_m| + 1
     if order >= kr_big:
         rows.real[:order + 1] = _miller_jn(order, np.array([kr_big]))[:, 0]
     return rows[:order + 1] if order >= 0 else None
@@ -289,10 +287,7 @@ def _grid_correlation(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) 
     hankel = None if data.phase is None else _graf_hankel(ctx.k * data.radius, ctx.k * r.max())
     if hankel is not None:
         return _near_grid_correlation(ctx, data, grid, r, hankel)
-    nodes = grid.nodes()
-    step = max(1, _BLOCK_VALUES // len(data.values))
-    return np.concatenate([_correlation(data, _kernel(ctx, data, nodes[i:i + step]))
-                           for i in range(0, len(nodes), step)]).reshape(grid.shape)
+    return indicator_values(ctx, data, grid.nodes()).reshape(grid.shape)
 
 
 def indicator_grid(ctx: WaveContext, data: FieldSamples, grid: SamplingGrid) -> IndicatorGrid:

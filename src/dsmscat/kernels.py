@@ -61,9 +61,15 @@ def check_kr(ctx: WaveContext, r: float, what: str) -> None:
 
 
 def _pairwise_distance(x, y):
+    """|x - y| over the last axis, summed one coordinate at a time: no (..., d) array."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.sqrt(np.sum((x - y) ** 2, axis=-1))
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"points have {x.shape[-1]} and {y.shape[-1]} coordinates")
+    total = 0.0
+    for i in range(x.shape[-1]):
+        total += (x[..., i] - y[..., i]) ** 2
+    return np.sqrt(total)
 
 
 def _dimension(points) -> int:

@@ -13,6 +13,7 @@ from dsmscat import errors
 from dsmscat.cli import atomic_write, main, parse_config, read_samples, _parse_shape, write_indicator_csv
 from dsmscat.errors import ConfigError, DiscretizationError
 from dsmscat.indicators import IndicatorGrid, SamplingGrid
+from dsmscat.kernels import LemmaSweepReport
 
 
 def _write(path, text):
@@ -291,6 +292,20 @@ def test_non_finite_config_numbers_name_the_key(tmp_path, capsys, command, line,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["near", "far"])
+def test_header_only_sample_file_names_the_file(tmp_path, capsys, kind):
+    cfg = _write(tmp_path / "cfg.txt", "scenario = ex1\n")
+    assert main(["synthesize", "--config", cfg, "--outdir", str(tmp_path / "data")]) == 0
+    header = (tmp_path / "data" / f"ex1_{kind}_inc0_eps0.csv").read_text().splitlines()[0]
+    bad = _write(tmp_path / "bad.csv", header + "\n")
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings(["image", "--data", bad, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith(f"error: {bad}: no sample rows") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind, row, text", [
     ("far", 2, "inf,0.1,0.2"),
     ("far", 3, "90,0.1,-inf"),
@@ -426,6 +441,47 @@ def test_verify_dim4_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--dim", "4", "--outdir", str(tmp_path)])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--nquad", "1000000000000"], "--nquad"),
+    (["--dim", "3", "--nquad", "2000000"], "--nquad"),
+    (["--pairs", "10000000000000"], "--pairs"),
+    (["--seed", "-1"], "--seed"),
+    (["--pairs", "0"], "--pairs"),
+    (["--dim", "2", "--nquad", "15"], "--nquad"),
+], ids=["nquad-1e12", "nquad-3d-2e6", "pairs-1e13", "seed-minus-1", "pairs-0", "nquad-15"])
+def test_verify_flags_out_of_range_name_the_flag(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc, caught = _main_recording_warnings(["verify", *flags, "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and caught == []
+    assert err.startswith(f"error: {named} ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, accepted", [
+    (["--dim", "2", "--nquad", "1048576", "--pairs", "64"], True),
+    (["--dim", "2", "--nquad", "1048577", "--pairs", "1"], False),
+    (["--dim", "3", "--nquad", "1024", "--pairs", "64"], True),
+    (["--dim", "3", "--nquad", "1025", "--pairs", "1"], False),
+    (["--dim", "3", "--nquad", "1024", "--pairs", "65"], False),
+    (["--dim", "2", "--nquad", "4096", "--pairs", "16384"], True),
+    (["--dim", "2", "--nquad", "16", "--pairs", "16385"], False),
+])
+def test_verify_bounds_hold_at_their_edges(tmp_path, monkeypatch, flags, accepted):
+    # the sweeps are stubbed: this checks which flags reach them, not the sweeps
+    sweeps = []
+
+    def sweep(ctx, dim, rmax, npairs, nquad, seed):
+        sweeps.append((dim, nquad, npairs))
+        return LemmaSweepReport(separations=np.zeros(1), errors=np.zeros(1), nquad=nquad)
+
+    monkeypatch.setattr("dsmscat.cli.lemma_sweep", sweep)
+    monkeypatch.setattr("dsmscat.cli._verify_disk_oracle", lambda: 0.0)
+    assert main(["verify", *flags, "--outdir", str(tmp_path)]) == (0 if accepted else 2)
+    assert len(sweeps) == (1 if accepted else 0)
 
 
 def test_unwritable_output_is_io_error(tmp_path):

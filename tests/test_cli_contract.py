@@ -5,8 +5,10 @@ The README promises: every command exits 0, or 2 or 3 with exactly one
 no numpy warning and no output directory.  Configs are drawn from the
 known keys with edge tokens, random shape lines and scenario lines, then
 synthesized and imaged at a coarse grid; sample files are mutated one
-field or row at a time and imaged.  Examples are derandomized, so every
-run draws the same inputs (Claessen and Hughes, ICFP 2000).
+field or row at a time, or cut to their header, and imaged; ``verify``
+runs on small flag values and edge tokens, and may also exit 1 when a
+check fails.  Examples are derandomized, so every run draws the same
+inputs (Claessen and Hughes, ICFP 2000).
 """
 
 import contextlib
@@ -100,6 +102,8 @@ def run(argv, outdir):
     lines = err.getvalue().splitlines()
     if rc == 0:
         assert lines == [], (argv, lines)
+    elif rc == 1 and argv[0] == "verify":  # a check failed, and the report is written
+        assert len(lines) == 1 and lines[0].startswith("verification failed: "), (argv, lines)
     else:
         assert rc in (2, 3), (argv, rc, lines)
         assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), (argv, lines)
@@ -147,11 +151,14 @@ def sample_files(tmp_path_factory):
 
 @st.composite
 def mutations(draw, lines):
-    """lines with one field of one row replaced, or one row dropped or repeated."""
+    """lines with one field of one row replaced, one row dropped or repeated,
+    or every row after the header deleted."""
     lines = list(lines)
     row = draw(st.integers(0, len(lines) - 1))
-    action = draw(st.sampled_from(("field", "field", "field", "drop", "repeat")))
-    if action == "drop":
+    action = draw(st.sampled_from(("field", "field", "field", "drop", "repeat", "empty")))
+    if action == "empty":
+        del lines[1:]
+    elif action == "drop":
         del lines[row]
     elif action == "repeat":
         lines.insert(row, lines[row])
@@ -180,3 +187,29 @@ def test_mutated_sample_files_keep_the_contract(sample_files, data):
         with open(img_cfg, "w", encoding="utf-8") as handle:
             handle.write("grid.h = 0.5\n")
         run(["image", "--config", img_cfg, "--data", path], os.path.join(root, "img"))
+
+
+# verify flags: small values that run in well under a second, and edge tokens
+FLAG_EDGE = ("0", "-1", "1000000000000", "10000000000000")
+FLAGS = {"--nquad": ("16", "24", "32"), "--pairs": ("1", "2", "3"), "--seed": ("0", "7")}
+
+
+@st.composite
+def verify_argvs(draw):
+    """verify with or without --dim, and each other flag absent, small or an edge token."""
+    argv = ["verify"]
+    dim = draw(st.sampled_from((None, "2", "3")))
+    if dim is not None:
+        argv += ["--dim", dim]
+    for flag, plain in FLAGS.items():
+        value = draw(st.sampled_from(plain + FLAG_EDGE + (None,)))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(CONTRACT, max_examples=40)
+@given(argv=verify_argvs())
+def test_verify_flags_keep_the_contract(argv):
+    with tempfile.TemporaryDirectory() as root:
+        run(argv, os.path.join(root, "out"))

@@ -288,6 +288,24 @@ def test_solver_builds_the_system_in_one_array():
     assert peak <= 2.5 * 16 * n * n, peak / (16 * n * n)
 
 
+def test_near_samples_peak_as_far_samples_do():
+    # 1000 receivers on the radius-4 circle around the 1264-cell disk: the
+    # support check and the kernel each hold receivers x cells distances,
+    # with no receivers x cells x 2 difference array beside them
+    grid = discretize(CTX, [ShapeSpec(kind="disk", center=(0, 0), radius=0.4, nsq=1.5)],
+                      h_fwd=CTX.wavelength / 50)
+    current = solve_lippmann_schwinger(CTX, grid, D1)
+    pts = 4.0 * far_angles(1000)
+    m, n = len(pts), len(grid)
+    tracemalloc.start()
+    try:
+        scattered_near(CTX, current, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * m * n, peak / (16 * m * n)
+
+
 def _unit_current(centers):
     """Unit currents on cells of unit area (h_fwd = 1) at centers."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))

@@ -538,14 +538,20 @@ def test_graf_order_search_stops_at_the_order_cap():
         assert seconds < 0.02, (kr_big, seconds)
 
 
+def _uneven_near_data(count):
+    """Near data of a point source from count receivers on the radius-4
+    circle, one of them moved, so no grid path is equispaced."""
+    angles = 2.0 * np.pi * np.arange(count) / count
+    angles[7] += 1e-3
+    pts = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return FieldSamples(kind="near", locations=pts, values=green(CTX, pts, np.array([-0.4, 0.1])),
+                        incident=D1)
+
+
 def test_dense_grid_fallback_memory_stays_small():
     # 100 receivers on the circle, one of them moved, on the default grid:
     # the dense kernel goes in blocks of nodes, not receivers x 160 801 at once
-    angles = 2.0 * np.pi * np.arange(100) / 100
-    angles[7] += 1e-3
-    pts = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-    data = FieldSamples(kind="near", locations=pts, values=green(CTX, pts, np.array([-0.4, 0.1])),
-                        incident=D1)
+    data = _uneven_near_data(100)
     assert data.phase is None
     tracemalloc.start()
     try:
@@ -554,6 +560,39 @@ def test_dense_grid_fallback_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20, peak
+
+
+def test_indicator_values_memory_stays_small():
+    # 100 receivers x the default grid's 160 801 nodes as points: the kernel
+    # goes in blocks of points, as it does for a grid
+    data = _uneven_near_data(100)
+    nodes = SamplingGrid().nodes()
+    tracemalloc.start()
+    try:
+        indicator_values(CTX, data, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
+
+
+def test_blocked_indicator_values_equal_the_one_piece_kernel(monkeypatch):
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-1.5, 1.5, size=(25_000, 2))
+    sizes = []
+
+    def counted(ctx, data, points):
+        sizes.append(len(data.values) * len(points))
+        return _kernel(ctx, data, points)
+
+    for data in (_far_point_source([0.3, -0.2]), _uneven_near_data(50)):
+        one_piece = _correlation(data, _kernel(CTX, data, pts))
+        sizes.clear()
+        monkeypatch.setattr(indicators, "_kernel", counted)
+        blocked = indicator_values(CTX, data, pts)
+        monkeypatch.undo()
+        assert len(sizes) == 3 and max(sizes) <= indicators._BLOCK_VALUES, (data.kind, sizes)
+        assert np.max(np.abs(blocked - one_piece)) <= 1e-15, data.kind
 
 
 def test_grid_errors_as_with_the_dense_kernel():
